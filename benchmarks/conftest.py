@@ -12,7 +12,9 @@ use tight pytest-benchmark loops.
 Two pieces of perf-tracking plumbing live here:
 
 * the ``trajectory`` fixture collects machine-readable metrics from the
-  perf benches; at session end a new **row** is appended to
+  perf benches; with ``REPRO_BENCH_RECORD=1`` (the CI ``fastpath-smoke``
+  lane — a plain test run leaves the tracked files alone) a new **row**
+  is appended at session end to
   ``benchmarks/BENCH_<file>.json`` (``ctrlplane`` by default; the
   data-plane benches record under ``dataplane``, the inter-site roaming
   bench under ``intersite``).  Each row is one session's metrics plus
@@ -53,11 +55,13 @@ def report():
     return _print
 
 
+def _env_on(name):
+    return os.environ.get(name, "0").lower() not in ("0", "", "false", "off")
+
+
 def fastpath_enabled():
     """True when the smoke lane asked for the fast-path flags on."""
-    return os.environ.get("REPRO_FASTPATH", "0").lower() not in (
-        "0", "", "false", "off",
-    )
+    return _env_on("REPRO_FASTPATH")
 
 
 @pytest.fixture
@@ -94,6 +98,8 @@ def _load_rows(path):
 
 
 def pytest_sessionfinish(session, exitstatus):
+    if not _env_on("REPRO_BENCH_RECORD"):
+        return
     for file_key, benches in _TRAJECTORY.items():
         if not benches:
             continue

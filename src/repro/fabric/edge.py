@@ -208,6 +208,10 @@ class EdgeRouter:
                                   serve_stale_s=serve_stale_s)
         self.acl = GroupAcl()
         self.counters = EdgeRouterCounters()
+        #: packets an endpoint sent while this edge was rebooting or
+        #: before its port was (re-)authorized.  A plain attribute, not a
+        #: ``Counters`` field, so no ledger or digest moves.
+        self.pre_auth_drops = 0
         self.l2_gateway = None    # set by repro.fabric.l2 when L2 services are on
 
         self.rebooting = False
@@ -589,11 +593,12 @@ class EdgeRouter:
     # ------------------------------------------------------------------ ingress pipeline
     def inject_from_endpoint(self, endpoint, packet):
         """Entry point for endpoint traffic (fig. 4 ingress pipeline)."""
-        if self.rebooting:
-            return
-        entry = self.vrf.lookup_identity(endpoint.identity)
+        entry = None if self.rebooting else self.vrf.lookup_identity(endpoint.identity)
         if entry is None:
-            return  # not onboarded yet; a real switch floods to auth VLAN
+            # Rebooting, or the port is not (re-)authorized yet; a real
+            # switch floods to the auth VLAN.
+            self.pre_auth_drops += packet.train
+            return
         self.counters.packets_in += packet.train
         self._forward_overlay(entry.vn, entry.group, packet)
 

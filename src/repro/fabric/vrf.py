@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.core.errors import ConfigurationError
 from repro.net.addresses import Prefix
-from repro.net.trie import PatriciaTrie
 
 
 class LocalEndpointEntry:
@@ -40,13 +39,13 @@ class LocalEndpointEntry:
 class VrfTable:
     """Per-VN tables of locally attached endpoints, indexed three ways.
 
-    IPv4 and IPv6 lookups use Patricia tries (longest-prefix match, though
-    entries are host routes); MAC lookup is a dict (exact match semantics
-    of an L2 FIB).
+    Entries are host routes only, so a longest-prefix match over them is
+    an exact match: all three indices are per-VN dicts (IPv4 and IPv6 by
+    address value, MAC by address, the exact match of an L2 FIB).
     """
 
     def __init__(self):
-        self._v4 = {}    # vn int -> PatriciaTrie
+        self._v4 = {}    # vn int -> {address value int -> entry}
         self._v6 = {}
         self._mac = {}   # vn int -> {mac -> entry}
         self._by_identity = {}
@@ -55,29 +54,17 @@ class VrfTable:
     def __len__(self):
         return self._count
 
-    def _trie_for(self, vn, family, create=False):
-        store = self._v4 if family == "ipv4" else self._v6
-        key = int(vn)
-        trie = store.get(key)
-        if trie is None and create:
-            trie = PatriciaTrie(family)
-            store[key] = trie
-        return trie
-
     def add(self, entry):
         """Install a local endpoint (onboarding step)."""
         identity = entry.endpoint.identity
         if identity in self._by_identity:
             raise ConfigurationError("endpoint %s already in VRF" % identity)
-        self._trie_for(entry.vn, "ipv4", create=True).insert(
-            entry.ip.to_prefix(), entry
-        )
+        vn = int(entry.vn)
+        self._v4.setdefault(vn, {})[entry.ip.value] = entry
         if entry.ipv6 is not None:
-            self._trie_for(entry.vn, "ipv6", create=True).insert(
-                entry.ipv6.to_prefix(), entry
-            )
+            self._v6.setdefault(vn, {})[entry.ipv6.value] = entry
         if entry.mac is not None:
-            self._mac.setdefault(int(entry.vn), {})[entry.mac] = entry
+            self._mac.setdefault(vn, {})[entry.mac] = entry
         self._by_identity[identity] = entry
         self._count += 1
         return entry
@@ -87,27 +74,33 @@ class VrfTable:
         entry = self._by_identity.pop(identity, None)
         if entry is None:
             return None
-        trie = self._trie_for(entry.vn, "ipv4")
-        if trie is not None:
-            trie.delete(entry.ip.to_prefix())
+        vn = int(entry.vn)
+        self._v4.get(vn, {}).pop(entry.ip.value, None)
         if entry.ipv6 is not None:
-            trie6 = self._trie_for(entry.vn, "ipv6")
-            if trie6 is not None:
-                trie6.delete(entry.ipv6.to_prefix())
+            self._v6.get(vn, {}).pop(entry.ipv6.value, None)
         if entry.mac is not None:
-            self._mac.get(int(entry.vn), {}).pop(entry.mac, None)
+            self._mac.get(vn, {}).pop(entry.mac, None)
         self._count -= 1
         return entry
 
     def lookup_ip(self, vn, address):
-        """(VN + overlay dst IP) -> local entry or ``None`` (fig. 4)."""
+        """(VN + overlay dst IP) -> local entry or ``None`` (fig. 4).
+
+        ``address`` may be a host :class:`Prefix`; a shorter prefix or a
+        non-IP family (a MAC EID) matches nothing.
+        """
+        if isinstance(address, Prefix):
+            if not address.is_host:
+                return None
+            address = address.address
         family = address.family
-        trie = self._trie_for(vn, family)
-        if trie is None:
+        if family == "ipv4":
+            table = self._v4.get(int(vn))
+        elif family == "ipv6":
+            table = self._v6.get(int(vn))
+        else:
             return None
-        key = address.to_prefix() if not isinstance(address, Prefix) else address
-        hit = trie.lookup_longest(key)
-        return hit[1] if hit else None
+        return table.get(address.value) if table else None
 
     def lookup_mac(self, vn, mac):
         return self._mac.get(int(vn), {}).get(mac)

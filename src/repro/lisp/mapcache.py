@@ -16,9 +16,9 @@ memoization (both invisible to callers):
 
 * the per-(VN, family) trie resolution is memoized — repeated lookups in
   the same VN/family skip the dict probe and key-tuple allocation;
-* a single-entry **hot-flow cache** remembers the last (VN, key) ->
-  entry resolution, so a burst of packets on one flow costs one
-  comparison instead of a trie descent.  Any mutation (install,
+* a single-entry **hot-flow cache** remembers the last (VN, address as
+  given) -> entry resolution, so a burst of packets on one flow costs
+  one comparison instead of a trie descent.  Any mutation (install,
   invalidate, sweep, expiry) clears it, because a new more-specific
   prefix can legitimately change the longest-prefix answer.
 
@@ -95,7 +95,7 @@ class MapCache:
         #: packets = one (vn, family))
         self._trie_memo_key = None
         self._trie_memo = None
-        #: single-entry hot-flow cache: (vn int, key Prefix) -> entry
+        #: single-entry hot-flow cache: (vn int, address or Prefix) -> entry
         self._hot_key = None
         self._hot_entry = None
         #: per-trie soonest expiry (lower bound; refreshed on sweep)
@@ -196,21 +196,21 @@ class MapCache:
         data plane can distinguish "miss, resolve it" from "known absent,
         use default route without re-querying".
         """
-        key = address.to_prefix() if not isinstance(address, Prefix) else address
         vn_int = int(vn)
         now = self.sim.now
-        if self._hot_key is not None and self._hot_key == (vn_int, key):
+        if self._hot_key is not None and self._hot_key == (vn_int, address):
             entry = self._hot_entry
             if entry.expires_at > now:
                 entry.last_used = now
                 self.hits += 1
                 return entry
             self._hot_key = None   # expired; fall through and delete it
-        trie = self._trie(vn_int, key.family)
+        family = address.family
+        trie = self._trie(vn_int, family)
         if trie is None:
             self.misses += 1
             return None
-        hit = trie.lookup_longest(key)
+        hit = trie.lookup_longest(address)
         if hit is None:
             self.misses += 1
             return None
@@ -227,14 +227,14 @@ class MapCache:
                 self.stale_hits += 1
                 return entry
             trie.delete(prefix)
-            self._note_removed((vn_int, key.family), entry)
+            self._note_removed((vn_int, family), entry)
             self._hot_key = None
             self.expirations += 1
             self.misses += 1
             return None
         entry.last_used = now
         self.hits += 1
-        self._hot_key = (vn_int, key)
+        self._hot_key = (vn_int, address)
         self._hot_entry = entry
         return entry
 

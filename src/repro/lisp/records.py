@@ -135,16 +135,10 @@ class MappingDatabase:
 
     def lookup(self, vn, eid_or_address):
         """Longest-prefix match inside a VN; returns a record or ``None``."""
-        if isinstance(eid_or_address, Prefix):
-            family = eid_or_address.family
-            key = eid_or_address
-        else:
-            family = eid_or_address.family
-            key = eid_or_address.to_prefix()
-        trie = self._trie(vn, family)
+        trie = self._trie(vn, eid_or_address.family)
         if trie is None:
             return None
-        hit = trie.lookup_longest(key)
+        hit = trie.lookup_longest(eid_or_address)
         return hit[1] if hit else None
 
     def lookup_exact(self, vn, eid):

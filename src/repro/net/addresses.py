@@ -21,7 +21,9 @@ from repro.core.errors import ConfigurationError
 class _Address:
     """Base class: an unsigned integer in a fixed-width bit space."""
 
-    __slots__ = ("_value",)
+    #: ``value`` is a plain read-only slot (``__setattr__`` refuses
+    #: writes), so the trie reads the int without a Python-level call.
+    __slots__ = ("value",)
 
     bits = 0
     family = "abstract"
@@ -32,35 +34,31 @@ class _Address:
             raise ConfigurationError(
                 "%s value %d out of %d-bit range" % (self.family, value, self.bits)
             )
-        object.__setattr__(self, "_value", value)
+        object.__setattr__(self, "value", value)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
-    @property
-    def value(self):
-        return self._value
-
     def __int__(self):
-        return self._value
+        return self.value
 
     def __index__(self):
-        return self._value
+        return self.value
 
     def __eq__(self, other):
         return (
             isinstance(other, _Address)
             and self.family == other.family
-            and self._value == other._value
+            and self.value == other.value
         )
 
     def __lt__(self, other):
         if not isinstance(other, _Address):
             return NotImplemented
-        return (self.family, self._value) < (other.family, other._value)
+        return (self.family, self.value) < (other.family, other.value)
 
     def __hash__(self):
-        return hash((self.family, self._value))
+        return hash((self.family, self.value))
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, str(self))
@@ -68,11 +66,18 @@ class _Address:
     # -- trie support --------------------------------------------------------
     def bit(self, index):
         """Return bit ``index`` counting from the most significant (0)."""
-        return (self._value >> (self.bits - 1 - index)) & 1
+        return (self.value >> (self.bits - 1 - index)) & 1
 
     def to_prefix(self):
-        """A host prefix (/bits) covering exactly this address."""
-        return Prefix(self, self.bits)
+        """A host prefix (/bits) covering exactly this address.
+
+        A valid address is its own canonical host prefix, so this skips
+        ``Prefix.__init__``'s checks and shares ``self``.
+        """
+        prefix = Prefix.__new__(Prefix)
+        object.__setattr__(prefix, "address", self)
+        object.__setattr__(prefix, "length", self.bits)
+        return prefix
 
 
 class IPv4Address(_Address):
@@ -100,11 +105,11 @@ class IPv4Address(_Address):
         return cls(value)
 
     def __str__(self):
-        v = self._value
+        v = self.value
         return "%d.%d.%d.%d" % ((v >> 24) & 255, (v >> 16) & 255, (v >> 8) & 255, v & 255)
 
     def to_bytes(self):
-        return self._value.to_bytes(4, "big")
+        return self.value.to_bytes(4, "big")
 
     @classmethod
     def from_bytes(cls, data):
@@ -153,7 +158,7 @@ class IPv6Address(_Address):
         return cls(value)
 
     def __str__(self):
-        groups = [(self._value >> (16 * (7 - i))) & 0xFFFF for i in range(8)]
+        groups = [(self.value >> (16 * (7 - i))) & 0xFFFF for i in range(8)]
         # Find the longest run of zero groups for :: compression.
         best_start, best_len = -1, 0
         run_start, run_len = -1, 0
@@ -174,7 +179,7 @@ class IPv6Address(_Address):
         return ":".join("%x" % g for g in groups)
 
     def to_bytes(self):
-        return self._value.to_bytes(16, "big")
+        return self.value.to_bytes(16, "big")
 
     @classmethod
     def from_bytes(cls, data):
@@ -207,11 +212,11 @@ class MacAddress(_Address):
         return cls(value)
 
     def __str__(self):
-        v = self._value
+        v = self.value
         return ":".join("%02x" % ((v >> (8 * i)) & 255) for i in range(5, -1, -1))
 
     def to_bytes(self):
-        return self._value.to_bytes(6, "big")
+        return self.value.to_bytes(6, "big")
 
     @classmethod
     def from_bytes(cls, data):
@@ -221,11 +226,11 @@ class MacAddress(_Address):
 
     @property
     def is_broadcast(self):
-        return self._value == (1 << 48) - 1
+        return self.value == (1 << 48) - 1
 
     @property
     def is_multicast(self):
-        return bool((self._value >> 40) & 1)
+        return bool((self.value >> 40) & 1)
 
 
 _FAMILY_CLASSES = {cls.family: cls for cls in (IPv4Address, IPv6Address, MacAddress)}
@@ -247,7 +252,8 @@ class Prefix:
     MAC registrations.
     """
 
-    __slots__ = ("_address", "_length")
+    #: read-only slots, like ``_Address.value``
+    __slots__ = ("address", "length")
 
     def __init__(self, address, length):
         if not isinstance(address, _Address):
@@ -257,11 +263,14 @@ class Prefix:
             raise ConfigurationError(
                 "prefix length %d invalid for %s" % (length, address.family)
             )
-        # Canonicalize: zero the host bits.
+        # Canonicalize: zero the host bits (an address that already is
+        # canonical is shared, not copied).
         host_bits = address.bits - length
-        canonical = (int(address) >> host_bits) << host_bits
-        object.__setattr__(self, "_address", type(address)(canonical))
-        object.__setattr__(self, "_length", length)
+        canonical = (address.value >> host_bits) << host_bits
+        if canonical != address.value:
+            address = type(address)(canonical)
+        object.__setattr__(self, "address", address)
+        object.__setattr__(self, "length", length)
 
     def __setattr__(self, name, value):
         raise AttributeError("Prefix is immutable")
@@ -283,46 +292,38 @@ class Prefix:
         return cls(address, address.bits)
 
     @property
-    def address(self):
-        return self._address
-
-    @property
-    def length(self):
-        return self._length
-
-    @property
     def family(self):
-        return self._address.family
+        return self.address.family
 
     @property
     def bits(self):
-        return self._address.bits
+        return self.address.bits
 
     def bit(self, index):
-        return self._address.bit(index)
+        return self.address.bit(index)
 
     def contains(self, other):
         """True if ``other`` (address or prefix) falls inside this prefix."""
         if isinstance(other, Prefix):
-            if other.family != self.family or other.length < self._length:
+            if other.family != self.family or other.length < self.length:
                 return False
             other_addr = other.address
         else:
             if other.family != self.family:
                 return False
             other_addr = other
-        shift = self._address.bits - self._length
-        if shift == self._address.bits:
+        shift = self.address.bits - self.length
+        if shift == self.address.bits:
             return True  # default route
-        return (int(other_addr) >> shift) == (int(self._address) >> shift)
+        return (other_addr.value >> shift) == (self.address.value >> shift)
 
     @property
     def is_host(self):
-        return self._length == self._address.bits
+        return self.length == self.address.bits
 
     @property
     def is_default(self):
-        return self._length == 0
+        return self.length == 0
 
     def hosts(self, count, offset=1):
         """Yield ``count`` host addresses inside this prefix.
@@ -330,13 +331,13 @@ class Prefix:
         Starts at ``offset`` above the network address — handy for giving
         .1 to the gateway and starting the DHCP pool at .10, say.
         """
-        base = int(self._address)
-        space = 1 << (self._address.bits - self._length)
+        base = self.address.value
+        space = 1 << (self.address.bits - self.length)
         if offset + count > space:
             raise ConfigurationError(
                 "prefix %s cannot hold %d hosts at offset %d" % (self, count, offset)
             )
-        family_cls = type(self._address)
+        family_cls = type(self.address)
         for i in range(count):
             yield family_cls(base + offset + i)
 
@@ -344,24 +345,24 @@ class Prefix:
         return (
             isinstance(other, Prefix)
             and self.family == other.family
-            and self._length == other._length
-            and int(self._address) == int(other.address)
+            and self.length == other.length
+            and self.address.value == other.address.value
         )
 
     def __lt__(self, other):
         if not isinstance(other, Prefix):
             return NotImplemented
-        return (self.family, int(self._address), self._length) < (
+        return (self.family, self.address.value, self.length) < (
             other.family,
-            int(other.address),
+            other.address.value,
             other.length,
         )
 
     def __hash__(self):
-        return hash((self.family, int(self._address), self._length))
+        return hash((self.family, self.address.value, self.length))
 
     def __str__(self):
-        return "%s/%d" % (self._address, self._length)
+        return "%s/%d" % (self.address, self.length)
 
     def __repr__(self):
         return "Prefix(%r)" % str(self)

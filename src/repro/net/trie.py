@@ -24,42 +24,31 @@ from repro.net.addresses import Prefix
 class _Node:
     """Internal trie node.
 
-    ``prefix`` is the key path from the root down to (and including) this
-    node; ``value`` is set only when a route is actually stored here.
-    Children are indexed by the first bit after this node's prefix.
+    ``key`` is the canonical address value (host bits zero) of the path
+    from the root down to this node and ``length`` its bit count — plain
+    ints, so a descent is shifts and compares.  ``prefix`` is the
+    caller's :class:`Prefix`, set only while a route is stored here; a
+    split node has none.  ``zero``/``one`` are the children selected by
+    the first bit after ``length``.
     """
 
-    __slots__ = ("prefix", "value", "has_value", "children")
+    __slots__ = ("key", "length", "prefix", "value", "zero", "one")
 
-    def __init__(self, prefix):
+    def __init__(self, key, length, prefix=None, value=None):
+        self.key = key
+        self.length = length
         self.prefix = prefix
-        self.value = None
-        self.has_value = False
-        self.children = [None, None]
-
-
-def _common_prefix_length(a, b, limit):
-    """Number of leading bits shared by prefixes ``a`` and ``b`` (<= limit).
-
-    One XOR + one ``bit_length`` instead of a per-bit Python loop: this
-    runs on every node of every trie descent, i.e. per data packet on
-    the map-cache fast path.  Prefixes are canonicalized (host bits
-    zero), so comparing the top ``limit`` bits of the raw values is
-    exact.
-    """
-    if limit <= 0:
-        return 0
-    diff = (int(a.address) ^ int(b.address)) >> (a.bits - limit)
-    if diff == 0:
-        return limit
-    return limit - diff.bit_length()
+        self.value = value
+        self.zero = None
+        self.one = None
 
 
 class PatriciaTrie:
     """A path-compressed binary trie mapping prefixes to values.
 
     Supports exact insert/delete and longest-prefix-match lookup.  All keys
-    must belong to the same address family (enforced on first insert).
+    must belong to the same address family (enforced on first insert); a
+    query with a key of another family (another width) matches nothing.
     """
 
     __slots__ = ("_root", "_family", "_size")
@@ -80,114 +69,115 @@ class PatriciaTrie:
     def family(self):
         return self._family
 
-    def _check_family(self, prefix):
-        if self._family is None:
-            self._family = prefix.family
-        elif prefix.family != self._family:
-            raise ConfigurationError(
-                "trie holds %s keys, got %s" % (self._family, prefix.family)
-            )
-
     # -- mutation -------------------------------------------------------------
     def insert(self, prefix, value):
         """Insert or replace the value stored at exactly ``prefix``."""
         if not isinstance(prefix, Prefix):
             raise ConfigurationError("trie keys must be Prefix, got %r" % (prefix,))
-        self._check_family(prefix)
-        if self._root is None:
-            node = _Node(prefix)
-            node.value, node.has_value = value, True
-            self._root = node
+        address = prefix.address
+        if self._family is None:
+            self._family = address.family
+        elif address.family != self._family:
+            raise ConfigurationError(
+                "trie holds %s keys, got %s" % (self._family, address.family)
+            )
+        bits = address.bits
+        key = address.value
+        length = prefix.length
+        node = self._root
+        if node is None:
+            self._root = _Node(key, length, prefix, value)
             self._size = 1
             return
-
-        node = self._root
         parent = None
-        parent_bit = 0
         while True:
-            shared = _common_prefix_length(
-                prefix, node.prefix, min(prefix.length, node.prefix.length)
-            )
-            if shared == node.prefix.length == prefix.length:
-                if not node.has_value:
+            node_length = node.length
+            shared = node_length if node_length < length else length
+            diff = (key ^ node.key) >> (bits - shared)
+            if diff:
+                shared -= diff.bit_length()
+            elif node_length == length:
+                if node.prefix is None:
+                    node.prefix = prefix
                     self._size += 1
-                node.value, node.has_value = value, True
+                node.value = value
                 return
-            if shared == node.prefix.length:
+            elif node_length < length:
                 # Descend into the child selected by the next key bit.
-                branch = prefix.bit(shared)
-                child = node.children[branch]
-                if child is None:
-                    leaf = _Node(prefix)
-                    leaf.value, leaf.has_value = value, True
-                    node.children[branch] = leaf
-                    self._size += 1
-                    return
-                parent, parent_bit, node = node, branch, child
+                parent = node
+                branch = (key >> (bits - 1 - node_length)) & 1
+                node = node.one if branch else node.zero
+                if node is None:
+                    node = _Node(key, length, prefix, value)
+                    break
                 continue
-            # Split: create an intermediate node at the divergence point.
-            split = _Node(Prefix(node.prefix.address, shared))
-            old_branch = node.prefix.bit(shared)
-            split.children[old_branch] = node
-            if shared == prefix.length:
-                split.value, split.has_value = value, True
+            # Split: an intermediate node at the divergence point adopts
+            # the old node; it holds the new route itself when the new
+            # key ends there, else a second leaf does.
+            host_bits = bits - shared
+            split = _Node((key >> host_bits) << host_bits, shared)
+            if (node.key >> (host_bits - 1)) & 1:
+                split.one = node
             else:
-                leaf = _Node(prefix)
-                leaf.value, leaf.has_value = value, True
-                split.children[prefix.bit(shared)] = leaf
-            if parent is None:
-                self._root = split
+                split.zero = node
+            if shared == length:
+                split.prefix, split.value = prefix, value
+            elif (key >> (host_bits - 1)) & 1:
+                split.one = _Node(key, length, prefix, value)
             else:
-                parent.children[parent_bit] = split
-            self._size += 1
-            return
+                split.zero = _Node(key, length, prefix, value)
+            node = split
+            break
+        if parent is None:
+            self._root = node
+        elif branch:
+            parent.one = node
+        else:
+            parent.zero = node
+        self._size += 1
 
     def delete(self, prefix):
         """Remove the exact ``prefix``; returns True if it was present."""
-        if self._root is None:
-            return False
-        path = []  # (parent, branch) pairs down to the node
+        grand = parent = None
         node = self._root
+        address = prefix.address
+        if node is None or address.family != self._family:
+            return False
+        bits = address.bits
+        key = address.value
+        length = prefix.length
         while True:
-            if node.prefix.length > prefix.length:
+            node_length = node.length
+            if node_length > length or (key ^ node.key) >> (bits - node_length):
                 return False
-            shared = _common_prefix_length(prefix, node.prefix, node.prefix.length)
-            if shared < node.prefix.length:
-                return False
-            if node.prefix.length == prefix.length:
+            if node_length == length:
                 break
-            branch = prefix.bit(node.prefix.length)
-            child = node.children[branch]
+            child = node.one if (key >> (bits - 1 - node_length)) & 1 else node.zero
             if child is None:
                 return False
-            path.append((node, branch))
-            node = child
-        if not node.has_value:
+            grand, parent, node = parent, node, child
+        if node.prefix is None:
             return False
-        node.value, node.has_value = None, False
+        node.prefix = node.value = None
         self._size -= 1
-        self._prune(node, path)
+        # Restore path compression: a valueless node keeps two children.
+        if node.zero is None or node.one is None:
+            child = node.zero or node.one
+            self._replace(parent, node, child)
+            if child is None and parent is not None and parent.prefix is None:
+                # A leaf went away, so its valueless parent is left with
+                # one child: splice that one up.
+                self._replace(grand, parent, parent.zero or parent.one)
         return True
 
-    def _prune(self, node, path):
-        """Collapse valueless single-child / childless nodes after delete."""
-        kids = [c for c in node.children if c is not None]
-        if node.has_value:
-            return
-        if not kids:
-            if path:
-                parent, branch = path[-1]
-                parent.children[branch] = None
-                self._prune(parent, path[:-1])
-            else:
-                self._root = None
-        elif len(kids) == 1:
-            # Path-compress: splice the only child up.
-            if path:
-                parent, branch = path[-1]
-                parent.children[branch] = kids[0]
-            else:
-                self._root = kids[0]
+    def _replace(self, parent, node, successor):
+        """Put ``successor`` (maybe ``None``) where ``node`` hangs."""
+        if parent is None:
+            self._root = successor
+        elif parent.one is node:
+            parent.one = successor
+        else:
+            parent.zero = successor
 
     def clear(self):
         self._root = None
@@ -197,59 +187,70 @@ class PatriciaTrie:
     def lookup_exact(self, prefix):
         """Return the value at exactly ``prefix`` or ``None``."""
         node = self._find_node(prefix)
-        if node is not None and node.has_value:
-            return node.value
-        return None
+        return node.value if node is not None else None
 
     def __contains__(self, prefix):
-        node = self._find_node(prefix)
-        return node is not None and node.has_value
+        return self._find_node(prefix) is not None
 
     def _find_node(self, prefix):
+        """The node storing a route for exactly ``prefix``, or ``None``."""
+        address = prefix.address
+        if address.family != self._family:
+            return None
+        bits = address.bits
+        key = address.value
+        length = prefix.length
         node = self._root
         while node is not None:
-            if node.prefix.length > prefix.length:
+            node_length = node.length
+            if node_length > length or (key ^ node.key) >> (bits - node_length):
                 return None
-            shared = _common_prefix_length(prefix, node.prefix, node.prefix.length)
-            if shared < node.prefix.length:
-                return None
-            if node.prefix.length == prefix.length:
-                return node
-            node = node.children[prefix.bit(node.prefix.length)]
+            if node_length == length:
+                return node if node.prefix is not None else None
+            node = node.one if (key >> (bits - 1 - node_length)) & 1 else node.zero
         return None
 
     def lookup_longest(self, address):
-        """Longest-prefix match for an address (or host prefix).
+        """Longest-prefix match for an address (or a prefix).
 
         Returns ``(prefix, value)`` of the most specific covering route, or
         ``None`` when nothing matches (not even a default route).
         """
-        key = address.to_prefix() if not isinstance(address, Prefix) else address
+        if isinstance(address, Prefix):
+            length = address.length
+            address = address.address
+            bits = address.bits
+        else:
+            length = bits = address.bits
+        if address.family != self._family:
+            return None
+        key = address.value
         best = None
         node = self._root
         while node is not None:
-            if node.prefix.length > key.length:
+            node_length = node.length
+            if node_length > length or (key ^ node.key) >> (bits - node_length):
                 break
-            shared = _common_prefix_length(key, node.prefix, node.prefix.length)
-            if shared < node.prefix.length:
+            if node.prefix is not None:
+                best = node
+            if node_length == length:
                 break
-            if node.has_value:
-                best = (node.prefix, node.value)
-            if node.prefix.length == key.length:
-                break
-            node = node.children[key.bit(node.prefix.length)]
-        return best
+            node = node.one if (key >> (bits - 1 - node_length)) & 1 else node.zero
+        if best is None:
+            return None
+        return best.prefix, best.value
 
     def items(self):
         """Yield ``(prefix, value)`` pairs in depth-first (sorted) order."""
         stack = [self._root] if self._root is not None else []
         while stack:
             node = stack.pop()
-            if node.has_value:
+            if node.prefix is not None:
                 yield node.prefix, node.value
-            for child in (node.children[1], node.children[0]):
-                if child is not None:
-                    stack.append(child)
+            if node.one is not None:
+                stack.append(node.one)
+            if node.zero is not None:
+                stack.append(node.zero)
 
     def keys(self):
         for prefix, _ in self.items():

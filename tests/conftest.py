@@ -25,6 +25,24 @@ def pfx():
 
 
 @pytest.fixture
+def keys_built(monkeypatch):
+    """A list that grows by one per ``Prefix``/address built while the
+    test runs (constructors and ``to_prefix``) — empty it, run a lookup,
+    and it shows what that lookup allocated."""
+    built = []
+    for cls, name in ((Prefix, "__init__"), (IPv4Address.__base__, "__init__"),
+                      (IPv4Address.__base__, "to_prefix")):
+        original = getattr(cls, name)
+
+        def counting(self, *args, _original=original, _name=name):
+            built.append((type(self).__name__, _name))
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    return built
+
+
+@pytest.fixture
 def small_fabric():
     """A 1-border / 4-edge fabric with one VN and three groups.
 

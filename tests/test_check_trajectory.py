@@ -3,6 +3,9 @@
 import importlib.util
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SPEC = importlib.util.spec_from_file_location(
@@ -94,3 +97,36 @@ def test_single_row_and_schema1_files_pass(tmp_path):
     }))
     assert check_trajectory.check_file(str(legacy)) == []
     assert check_trajectory.main([path, str(legacy)]) == 0
+
+
+def test_recording_a_row_is_opt_in(tmp_path):
+    """A plain bench session leaves ``BENCH_*.json`` byte-identical;
+    only ``REPRO_BENCH_RECORD=1`` appends a row (tier-1 must not dirty
+    the tree).  Runs the real conftest on a copy of the directory."""
+    bench_dir = tmp_path / "benchmarks"
+    bench_dir.mkdir()
+    shutil.copy(os.path.join(REPO_ROOT, "benchmarks", "conftest.py"), bench_dir)
+    _write(bench_dir, "BENCH_ctrlplane.json", [_row(storm={"speedup": 8.0})])
+    (bench_dir / "test_probe.py").write_text(
+        "def test_probe(trajectory):\n"
+        "    trajectory('probe', {'speedup': 2.0})\n")
+    tracked = bench_dir / "BENCH_ctrlplane.json"
+    before = tracked.read_bytes()
+
+    def session(**extra_env):
+        env = {key: value for key, value in os.environ.items()
+               if key != "REPRO_BENCH_RECORD"}
+        env.update(extra_env)
+        subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             str(bench_dir)],
+            cwd=str(tmp_path), env=env, check=True, capture_output=True)
+
+    session()
+    assert tracked.read_bytes() == before
+    session(REPRO_BENCH_RECORD="1")
+    rows_before = json.loads(before)["rows"]
+    rows_after = json.loads(tracked.read_text())["rows"]
+    assert len(rows_after) == len(rows_before) + 1
+    assert rows_after[:-1] == rows_before
+    assert rows_after[-1]["benches"] == {"probe": {"speedup": 2.0}}

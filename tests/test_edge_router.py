@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.errors import ConfigurationError
 from tests.conftest import admit_and_settle
 
@@ -150,6 +151,33 @@ class TestMobility:
         net.send(bob, alice)
         net.settle()
         assert alice.packets_received == 2
+
+    def test_packets_sent_before_reauthorization_are_counted(self, populated_fabric):
+        net, alice, bob, printer = populated_fabric
+        registry = obs.enable(net, tracing=False).metrics
+        net.roam(alice, 3)           # attached, but onboarding has not run yet
+        net.send(alice, bob, count=2)
+        net.send(alice, bob, count=3, as_train=True)
+        new_edge = net.edges[3]
+        assert new_edge.pre_auth_drops == 5
+        assert new_edge.counters.packets_in == 0
+        net.settle()
+        net.send(alice, bob, count=2)
+        net.settle()
+        # Conservation closes: every packet is delivered or has a reason.
+        assert alice.packets_sent == 7
+        assert bob.packets_received == 2
+        assert sum(edge.pre_auth_drops for edge in net.edges) == 5
+        assert "pre_auth_drops" not in new_edge.counters.as_dict()
+        gauges = registry.snapshot()["gauges"]
+        assert gauges[new_edge.name + ".pre_auth_drops"] == 5
+
+    def test_packets_sent_into_a_rebooting_edge_are_counted(self, populated_fabric):
+        net, alice, bob, printer = populated_fabric
+        alice.edge.reboot(duration_s=5.0)
+        net.send(alice, bob, count=4)
+        assert alice.edge.pre_auth_drops == 4
+        assert bob.packets_received == 0
 
     def test_smr_corrects_stale_sender(self, populated_fabric):
         net, alice, bob, printer = populated_fabric

@@ -6,7 +6,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.types import GroupId, VNId
 from repro.fabric import DhcpServer, Endpoint, VrfTable
 from repro.fabric.vrf import LocalEndpointEntry
-from repro.net.addresses import IPv4Address, MacAddress
+from repro.net.addresses import IPv4Address, IPv6Address, MacAddress, Prefix
 
 VN = VNId(100)
 
@@ -98,6 +98,17 @@ def _entry(identity="alice", ip="10.1.0.5", mac=1, group=7, port=1):
     )
 
 
+def _dual_stack_vrf():
+    vrf = VrfTable()
+    entries = []
+    for index in (1, 2):
+        endpoint = Endpoint("host%d" % index, MacAddress(index))
+        entries.append(vrf.add(LocalEndpointEntry(
+            endpoint, VN, GroupId(7), index, IPv4Address(0x0A010000 + index),
+            ipv6=IPv6Address(index), mac=endpoint.mac)))
+    return vrf, entries
+
+
 class TestVrf:
     def test_add_and_lookup_ip(self):
         vrf = VrfTable()
@@ -137,6 +148,51 @@ class TestVrf:
         assert len(vrf) == 0
         assert vrf.lookup_ip(VN, IPv4Address.parse("10.1.0.5")) is None
         assert vrf.remove("alice") is None
+
+    def test_duplicate_ip_last_add_wins_and_any_remove_clears(self):
+        # Two identities leasing one address (a stale entry racing a new
+        # one): the index follows the last add, and removing either
+        # entry clears the address — same as when the index was a trie.
+        vrf = VrfTable()
+        first, second = _entry("a", mac=1), _entry("b", mac=2)
+        vrf.add(first)
+        vrf.add(second)
+        address = IPv4Address.parse("10.1.0.5")
+        assert vrf.lookup_ip(VN, address) is second
+        assert vrf.remove("a") is first
+        assert vrf.lookup_ip(VN, address) is None
+        assert vrf.lookup_identity("b") is second and len(vrf) == 1
+        assert vrf.remove("b") is second
+
+    def test_ipv6_and_prefix_keys(self):
+        vrf, (first, second) = _dual_stack_vrf()
+        assert vrf.lookup_ip(VN, second.ipv6) is second
+        assert vrf.lookup_ip(VN, second.ipv6.to_prefix()) is second
+        assert vrf.lookup_ip(VN, Prefix(second.ipv6, 64)) is None
+        assert vrf.lookup_ip(VN, first.ip.to_prefix()) is first
+        assert vrf.lookup_ip(VN, Prefix(first.ip, 0)) is None
+        # An IPv4 value never matches the IPv6 table.
+        assert vrf.lookup_ip(VN, IPv6Address(first.ip.value)) is None
+        vrf.remove("host2")
+        assert vrf.lookup_ip(VN, second.ipv6) is None
+
+    def test_mac_eid_is_not_an_ip_lookup(self):
+        # Every endpoint registers a MAC EID, and notifies for it reach
+        # lookup_ip; that is a no-match, not a walk of the IPv6 table.
+        vrf, (first, _second) = _dual_stack_vrf()
+        assert vrf.lookup_ip(VN, first.mac) is None
+        assert vrf.lookup_ip(VN, first.mac.to_prefix()) is None
+        assert vrf.lookup_ip(VN, MacAddress(first.ipv6.value)) is None
+        assert vrf.lookup_mac(VN, first.mac) is first
+
+    def test_lookup_ip_allocates_no_keys(self, keys_built):
+        vrf = VrfTable()
+        entry = vrf.add(_entry())
+        hit, miss = IPv4Address.parse("10.1.0.5"), IPv4Address.parse("10.1.0.6")
+        del keys_built[:]
+        assert vrf.lookup_ip(VN, hit) is entry
+        assert vrf.lookup_ip(VN, miss) is None
+        assert keys_built == []
 
     def test_groups_present(self):
         vrf = VrfTable()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.net.addresses import IPv4Address, MacAddress, Prefix
+from repro.net.addresses import IPv4Address, IPv6Address, MacAddress, Prefix
 from repro.net.trie import PatriciaTrie
 
 
@@ -135,6 +135,68 @@ class TestFamilies:
     def test_non_prefix_key_rejected(self, trie):
         with pytest.raises(ConfigurationError):
             trie.insert("10.0.0.0/8", "a")
+
+    def test_other_width_keys_match_nothing(self, trie):
+        # A v4 trie whose root is a /0, so an unchecked descent *would*
+        # reach value nodes with a 48- or 128-bit key.
+        trie.insert(P("0.0.0.0/0"), "default")
+        trie.insert(P("10.0.0.1/32"), "host")
+        probes = [IPv6Address.parse("2001:db8::1"), IPv6Address(0x0A000001),
+                  MacAddress.parse("aa:bb:cc:dd:ee:ff"), MacAddress(0x0A000001)]
+        for probe in probes:
+            assert trie.lookup_longest(probe) is None
+            assert trie.lookup_longest(probe.to_prefix()) is None
+            assert trie.lookup_longest(Prefix(probe, 0)) is None
+            assert trie.lookup_exact(Prefix(probe, 0)) is None
+            assert Prefix(probe, 0) not in trie
+            assert not trie.delete(Prefix(probe, 0))
+            assert not trie.delete(Prefix(probe, 32))
+        assert len(trie) == 2
+        assert trie.lookup_longest(A("10.0.0.1"))[1] == "host"
+
+
+def _nodes(trie):
+    stack = [trie._root] if trie._root is not None else []
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in (node.zero, node.one) if child is not None)
+
+
+class TestStructure:
+    def test_delete_leaves_no_valueless_single_child_node(self, trie):
+        prefixes = [P("10.%d.%d.0/%d" % (i, j, length))
+                    for i in range(4) for j in (0, 1, 128) for length in (23, 24)]
+        prefixes += [P("0.0.0.0/0"), P("10.0.0.0/8"), P("10.2.0.0/16"), P("10.0.0.7/32")]
+        prefixes = list(dict.fromkeys(prefixes))    # /23s canonicalize onto each other
+        for prefix in prefixes:
+            trie.insert(prefix, str(prefix))
+        for victim in prefixes[::2] + prefixes[1::2]:
+            assert trie.delete(victim)
+            for node in _nodes(trie):
+                if node.prefix is None:
+                    assert node.zero is not None and node.one is not None
+                for child in (node.zero, node.one):
+                    assert child is None or child.length > node.length
+        assert trie._root is None and len(trie) == 0
+
+    def test_split_node_is_never_exposed(self, trie):
+        trie.insert(P("10.0.0.0/24"), "a")
+        trie.insert(P("10.0.1.0/24"), "b")      # splits at 10.0.0.0/23
+        assert P("10.0.0.0/23") not in trie
+        assert trie.lookup_exact(P("10.0.0.0/23")) is None
+        assert trie.lookup_longest(P("10.0.0.0/23")) is None
+        assert not trie.delete(P("10.0.0.0/23"))
+        assert [str(prefix) for prefix in trie.keys()] == ["10.0.0.0/24", "10.0.1.0/24"]
+
+    def test_lookup_longest_allocates_no_keys(self, trie, keys_built):
+        for index in range(64):
+            trie.insert(Prefix(IPv4Address(0x0A000000 + index * 4), 30), index)
+        targets = [IPv4Address(0x0A000000 + index) for index in range(256)]
+        del keys_built[:]
+        for target in targets:
+            assert trie.lookup_longest(target)[1] == (target.value - 0x0A000000) // 4
+        assert keys_built == []
 
 
 class TestIteration:
