@@ -511,11 +511,15 @@ class FabricNetwork:
         self.borders[index].recover()
 
     # ------------------------------------------------------------------ policy change plumbing
-    def _on_session(self, identity, edge_rloc, group):
+    def _on_session(self, identity, edge_rloc, group, vacated_rloc):
         """Every successful auth refreshes SXP's view of which destination
-        groups the authenticating edge hosts — that is how later matrix
-        edits reach exactly the edges that need them."""
-        self.sxp.set_peer_groups(edge_rloc, self.policy_server.groups_at(edge_rloc))
+        groups the authenticating edge hosts — and of the edge the
+        session left, when that edge lost a group with it — that is how
+        later matrix edits reach exactly the edges that need them."""
+        groups_at = self.policy_server.groups_at
+        self.sxp.set_peer_groups(edge_rloc, groups_at(edge_rloc))
+        if vacated_rloc is not None:
+            self.sxp.set_peer_groups(vacated_rloc, groups_at(vacated_rloc))
 
     def _on_group_change(self, identity, old_group, new_group):
         """Sec. 5.4: a group move triggers re-auth at the hosting edge only."""

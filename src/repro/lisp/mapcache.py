@@ -179,11 +179,10 @@ class MapCache:
     def install_negative(self, vn, eid, ttl=None):
         """Cache a negative reply (destination unknown)."""
         trie = self._trie(vn, eid.family, create=True)
-        existing = trie.lookup_exact(eid)
         expires = self.sim.now + (self.negative_ttl if ttl is None else ttl)
         entry = MapCacheEntry(vn, eid, None, None, 0, expires, negative=True,
                               last_used=self.sim.now)
-        trie.insert(eid, entry)
+        existing = trie.insert(eid, entry)
         self._note_added((int(vn), eid.family), entry, existing)
         self._hot_key = None
 

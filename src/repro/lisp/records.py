@@ -103,11 +103,10 @@ class MappingDatabase:
         unregister/re-register cycles.
         """
         trie = self._trie(record.vn, record.eid.family, create=True)
-        previous = trie.lookup_exact(record.eid)
         key = (int(record.vn), record.eid)
         record.version = max(record.version,
                              self._versions.get(key, 0) + 1)
-        trie.insert(record.eid, record)
+        previous = trie.insert(record.eid, record)
         if previous is None:
             self._count += 1
         self._versions[key] = record.version

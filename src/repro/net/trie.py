@@ -71,7 +71,10 @@ class PatriciaTrie:
 
     # -- mutation -------------------------------------------------------------
     def insert(self, prefix, value):
-        """Insert or replace the value stored at exactly ``prefix``."""
+        """Insert or replace the value stored at exactly ``prefix``.
+
+        Returns the value it displaced, ``None`` when the prefix is new.
+        """
         if not isinstance(prefix, Prefix):
             raise ConfigurationError("trie keys must be Prefix, got %r" % (prefix,))
         address = prefix.address
@@ -88,7 +91,7 @@ class PatriciaTrie:
         if node is None:
             self._root = _Node(key, length, prefix, value)
             self._size = 1
-            return
+            return None
         parent = None
         while True:
             node_length = node.length
@@ -97,11 +100,12 @@ class PatriciaTrie:
             if diff:
                 shared -= diff.bit_length()
             elif node_length == length:
+                displaced = node.value
                 if node.prefix is None:
                     node.prefix = prefix
                     self._size += 1
                 node.value = value
-                return
+                return displaced
             elif node_length < length:
                 # Descend into the child selected by the next key bit.
                 parent = node
@@ -135,6 +139,7 @@ class PatriciaTrie:
         else:
             parent.zero = node
         self._size += 1
+        return None
 
     def delete(self, prefix):
         """Remove the exact ``prefix``; returns True if it was present."""

@@ -58,12 +58,20 @@ class ConnectivityMatrix:
     is whitelist: a lookup with no matching rule yields ``default_action``
     (deny, per the SDA posture).  Same-group traffic defaults to allow
     unless explicitly overridden, matching deployed SDA behaviour.
+
+    ``_by_dst`` / ``_by_src`` hold the same rules once more, grouped by
+    one end: ``group id -> {(src, dst): rule}``.  Each inner dict sees
+    the same sets, updates and deletes as ``_rules``, so its order is
+    ``_rules``' order restricted to that group and a rule slice costs
+    its own length, not the matrix's.
     """
 
     def __init__(self, plan=None, default_action=PolicyAction.DENY,
                  same_group_allowed=True):
         self._plan = plan
         self._rules = {}
+        self._by_dst = {}
+        self._by_src = {}
         self.default_action = PolicyAction.validate(default_action)
         self.same_group_allowed = same_group_allowed
         self.version = 0
@@ -80,7 +88,10 @@ class ConnectivityMatrix:
         self._check_groups(src_group, dst_group)
         self.version += 1
         rule = PolicyRule(src_group, dst_group, action, version=self.version)
-        self._rules[rule.key] = rule
+        key = rule.key
+        self._rules[key] = rule
+        self._by_dst.setdefault(key[1], {})[key] = rule
+        self._by_src.setdefault(key[0], {})[key] = rule
         return rule
 
     def allow(self, src_group, dst_group, symmetric=False):
@@ -97,6 +108,8 @@ class ConnectivityMatrix:
         key = (int(src_group), int(dst_group))
         if key in self._rules:
             del self._rules[key]
+            del self._by_dst[key[1]][key]
+            del self._by_src[key[0]][key]
             self.version += 1
             return True
         return False
@@ -124,13 +137,11 @@ class ConnectivityMatrix:
         (sec. 3.3.1: "it downloads the rules where the endpoint's group
         is the destination").
         """
-        dst = int(dst_group)
-        return [rule for rule in self._rules.values() if int(rule.dst_group) == dst]
+        return list(self._by_dst.get(int(dst_group), {}).values())
 
     def rules_for_source(self, src_group):
         """The rule subset needed for ingress enforcement (ablation)."""
-        src = int(src_group)
-        return [rule for rule in self._rules.values() if int(rule.src_group) == src]
+        return list(self._by_src.get(int(src_group), {}).values())
 
     def groups_in_rules(self):
         """All group ids referenced anywhere in the matrix."""

@@ -72,20 +72,24 @@ class AccessRequest(ControlMessage):
 
 
 class AccessResult(ControlMessage):
-    """Policy server -> edge: Accept (with attributes + rules) or Reject."""
+    """Policy server -> edge: Accept (with attributes + rules) or Reject.
+
+    ``rules`` is kept as given, not copied: the sender hands over a list
+    it built for this result.
+    """
 
     __slots__ = ("identity", "accepted", "vn", "group", "rules", "reason")
 
     kind = "access-result"
 
-    def __init__(self, identity, accepted, vn=None, group=None, rules=(),
+    def __init__(self, identity, accepted, vn=None, group=None, rules=None,
                  reason="", nonce=None):
         super().__init__(nonce)
         self.identity = identity
         self.accepted = accepted
         self.vn = vn
         self.group = group
-        self.rules = list(rules)
+        self.rules = [] if rules is None else rules
         self.reason = reason
 
 
@@ -139,6 +143,10 @@ class PolicyServer:
         #: This is what lets the server know which edges host which
         #: groups — the input to targeted SXP rule distribution.
         self.sessions = {}
+        #: the same sessions counted per edge: edge rloc -> {group id ->
+        #: live sessions}, kept in step by :meth:`_record_session` so
+        #: :meth:`groups_at` never walks ``sessions``.
+        self._hosted = {}
         self.auth_accepts = 0
         self.auth_rejects = 0
         if underlay is not None:
@@ -166,7 +174,7 @@ class PolicyServer:
         credential.enabled = False
         # Revocation kills the resumable session: the next auth runs the
         # full exchange (and rejects).
-        self._auth_cache.pop(EndpointId(identity), None)
+        self._auth_cache.pop(credential.identity, None)
 
     def _credential(self, identity):
         try:
@@ -210,21 +218,37 @@ class PolicyServer:
         self._group_change_listeners.append(callback)
 
     def on_session(self, callback):
-        """Register ``callback(identity, edge_rloc, group)`` fired on
-        every successful (re-)authentication."""
+        """Register ``callback(identity, edge_rloc, group, vacated_rloc)``
+        fired on every successful (re-)authentication.  ``vacated_rloc``
+        is the edge the session moved away from when it was the last of
+        its group there — that edge hosts one group fewer — else ``None``."""
         self._session_listeners.append(callback)
 
     def _record_session(self, identity, edge_rloc, group):
-        self.sessions[EndpointId(identity)] = (edge_rloc, group)
+        """Point ``identity``'s session at ``(edge_rloc, group)``; the
+        identity is already an :class:`EndpointId`."""
+        previous = self.sessions.get(identity)
+        self.sessions[identity] = (edge_rloc, group)
+        vacated_rloc = None
+        if previous is not None:
+            old_rloc, old_group = previous
+            counts = self._hosted[old_rloc]
+            old_group = int(old_group)
+            counts[old_group] -= 1
+            if not counts[old_group]:
+                del counts[old_group]
+                if old_rloc != edge_rloc:
+                    vacated_rloc = old_rloc
+        counts = self._hosted.setdefault(edge_rloc, {})
+        group_id = int(group)
+        counts[group_id] = counts.get(group_id, 0) + 1
         for listener in self._session_listeners:
-            listener(identity, edge_rloc, group)
+            listener(identity, edge_rloc, group, vacated_rloc)
 
     def groups_at(self, edge_rloc):
-        """GroupIds of endpoints currently authenticated via an edge."""
-        return {
-            int(group) for rloc, group in self.sessions.values()
-            if rloc == edge_rloc
-        }
+        """GroupIds of endpoints currently authenticated via an edge
+        (a fresh set; the caller may keep or change it)."""
+        return set(self._hosted.get(edge_rloc, ()))
 
     # -- authentication -----------------------------------------------------------------
     def authenticate(self, identity, secret, enforcement="egress"):
@@ -238,9 +262,9 @@ class PolicyServer:
         union of destination- and source-side rules (they still run the
         egress stage for local-to-local traffic).
         """
-        try:
-            credential = self._credential(identity)
-        except AuthenticationError:
+        identity = EndpointId(identity)
+        credential = self._credentials.get(identity)
+        if credential is None:
             self.auth_rejects += 1
             return AccessResult(identity, False, reason="unknown-identity")
         if not credential.enabled:
@@ -250,7 +274,7 @@ class PolicyServer:
             self.auth_rejects += 1
             return AccessResult(identity, False, reason="bad-secret")
         self.auth_accepts += 1
-        rules = list(self.matrix.rules_for_destination(credential.group))
+        rules = self.matrix.rules_for_destination(credential.group)
         if enforcement == "ingress":
             seen = {rule.key for rule in rules}
             for rule in self.matrix.rules_for_source(credential.group):
@@ -286,7 +310,8 @@ class PolicyServer:
     def _auth_service_time(self, identity):
         """CPU charge for one auth: session resumption vs full exchange."""
         if self.session_cache:
-            resumable_until = self._auth_cache.get(EndpointId(identity))
+            # A read: a plain str finds the EndpointId key it equals.
+            resumable_until = self._auth_cache.get(identity)
             if resumable_until is not None and resumable_until > self.sim.now:
                 self.auth_cache_hits += 1
                 return self.cached_auth_service_s
@@ -301,12 +326,13 @@ class PolicyServer:
             result.trace_ctx = span.ctx
             span.finish(accepted=result.accepted)
         if result.accepted:
+            identity = result.identity   # normalised by authenticate()
             if self.session_cache:
-                self._auth_cache[EndpointId(request.identity)] = (
+                self._auth_cache[identity] = (
                     self.sim.now + self.session_cache_ttl_s
                 )
             session_rloc = request.session_rloc or request.reply_to
-            self._record_session(request.identity, session_rloc, result.group)
+            self._record_session(identity, session_rloc, result.group)
         if self.underlay is not None:
             self.underlay.send(
                 self.rloc, request.reply_to,

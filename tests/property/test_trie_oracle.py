@@ -62,11 +62,13 @@ class TrieOracle(RuleBasedStateMachine):
     @rule(data=st.data(), stored=st.integers())
     def insert(self, data, stored):
         prefix = self._draw_prefix(data)
-        self.trie.insert(prefix, stored)
+        displaced = self.trie.insert(prefix, stored)
         index = self._index(prefix)
         if index is None:
+            assert displaced is None
             self.model.append((prefix, stored))
         else:
+            assert displaced == self.model[index][1]
             self.model[index] = (self.model[index][0], stored)
 
     @rule(data=st.data())

@@ -103,6 +103,15 @@ class TestNegative:
         entry = cache.lookup(VN, IPv4Address.parse("10.0.0.5"))
         assert not entry.negative
 
+    def test_negative_replaces_positive_and_its_rloc_count(self, cache):
+        cache.install(VN, _eid(), _rloc())
+        cache.install_negative(VN, _eid())
+        assert cache.lookup(VN, IPv4Address.parse("10.0.0.5")).negative
+        assert len(cache) == 0
+        # The displaced positive entry left the per-RLOC index too.
+        assert cache._rloc_counts[(int(VN), "ipv4")] == {}
+        assert cache.invalidate_rloc(_rloc()) == 0
+
 
 class TestInvalidation:
     def test_invalidate_exact(self, cache):

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.errors import PolicyError
 from repro.core.types import GroupId, VNId
+from repro.net.addresses import IPv4Address
 from repro.policy import PolicyServer, SegmentationPlan
+from repro.policy.server import AccessRequest
+from tests.conftest import admit_and_settle
 
 
 @pytest.fixture
@@ -106,11 +109,85 @@ def test_simulated_exchange_over_underlay(small_fabric):
     assert net.policy_server.auth_accepts >= 1
 
 
+def test_matrix_edit_skips_the_edge_a_group_left(small_fabric):
+    """Once a group's last member roamed off an edge, SXP stops pushing
+    that group's rule edits there."""
+    net = small_fabric
+    camera = net.create_endpoint("cam-1", "cameras", 4098)
+    admit_and_settle(net, camera, 0)
+    net.roam(camera, 1)
+    net.settle()
+    sent = []
+    send = net.sxp._send
+
+    def spy(peer, update):
+        sent.append((peer, update.rule))
+        send(peer, update)
+
+    net.sxp._send = spy
+    rule = net.policy_server.set_rule(GroupId(10), GroupId(30), "allow")
+    assert sent == [(net.edges[1].rloc, rule)]
+    assert not net.sxp.peer_hosts_group(net.edges[0].rloc, 30)
+
+
+_EDGE_A = IPv4Address(0xC0A80001)
+_EDGE_B = IPv4Address(0xC0A80002)
+
+
+class _NoScanDict(dict):
+    """A dict that refuses to be walked."""
+
+    def _refuse(self):
+        raise AssertionError("the auth path walked every session")
+
+    __iter__ = values = items = keys = _refuse
+
+
+def test_auth_path_never_walks_the_sessions(server):
+    """One `_answer` + `groups_at` costs the same at any population."""
+    server.enroll("bob", "pw", 2, 100)
+    server._answer(AccessRequest("bob", "pw", reply_to=_EDGE_A))
+    server.sessions = _NoScanDict(server.sessions)
+    server._answer(AccessRequest("alice", "pw", reply_to=_EDGE_A))
+    server._answer(AccessRequest("bob", "pw", reply_to=_EDGE_B))
+    assert server.groups_at(_EDGE_A) == {1}
+    assert server.groups_at(_EDGE_B) == {2}
+    assert dict.__len__(server.sessions) == 2
+
+
+def test_groups_at_hands_out_a_private_set(server):
+    server._answer(AccessRequest("alice", "pw", reply_to=_EDGE_A))
+    groups = server.groups_at(_EDGE_A)
+    groups.add(99)
+    groups.discard(1)
+    assert server.groups_at(_EDGE_A) == {1}
+    assert server.groups_at(_EDGE_B) == set()
+    server.groups_at(_EDGE_B).add(7)
+    assert server.groups_at(_EDGE_B) == set()
+
+
+def test_session_listener_learns_the_edge_that_lost_a_group(server):
+    server.enroll("bob", "pw", 1, 100)
+    seen = []
+    server.on_session(lambda i, rloc, group, vacated:
+                      seen.append((str(i), rloc, int(group), vacated)))
+    for identity, edge in (("alice", _EDGE_A), ("bob", _EDGE_A),
+                           ("alice", _EDGE_A),     # re-auth in place
+                           ("alice", _EDGE_B),     # bob still holds group 1 at A
+                           ("bob", _EDGE_B)):      # A's last member of group 1
+        server._answer(AccessRequest(identity, "pw", reply_to=edge))
+    assert seen == [("alice", _EDGE_A, 1, None), ("bob", _EDGE_A, 1, None),
+                    ("alice", _EDGE_A, 1, None), ("alice", _EDGE_B, 1, None),
+                    ("bob", _EDGE_B, 1, _EDGE_A)]
+    server.reassign_group("bob", 2)                # group change in place:
+    server._answer(AccessRequest("bob", "pw", reply_to=_EDGE_B))
+    assert seen[-1] == ("bob", _EDGE_B, 2, None)   # B itself is refreshed
+
+
 class TestSessionCache:
     """The auth fast path: RADIUS session resumption."""
 
     def _request(self, identity="alice", secret="pw"):
-        from repro.policy.server import AccessRequest
         return AccessRequest(identity, secret, reply_to=None)
 
     def test_first_auth_is_full_price_then_resumes(self, sim, plan):

@@ -32,6 +32,17 @@ class TestInsertLookup:
         assert trie.lookup_exact(P("10.0.0.0/8")) == "b"
         assert len(trie) == 1
 
+    def test_insert_returns_the_displaced_value(self, trie):
+        assert trie.insert(P("10.0.0.0/24"), "x") is None      # empty trie
+        assert trie.insert(P("10.0.1.0/24"), "y") is None      # new leaf + split
+        assert trie.insert(P("10.0.0.0/23"), "split") is None  # fills the split node
+        assert trie.insert(P("10.0.0.0/16"), "up") is None     # new node above
+        assert trie.insert(P("10.0.0.0/23"), "again") == "split"
+        assert trie.insert(P("10.0.0.0/24"), "z") == "x"
+        trie.delete(P("10.0.0.0/24"))
+        assert trie.insert(P("10.0.0.0/24"), "back") is None
+        assert len(trie) == 4
+
     def test_longest_prefix_match(self, trie):
         trie.insert(P("10.0.0.0/8"), "short")
         trie.insert(P("10.1.0.0/16"), "mid")
