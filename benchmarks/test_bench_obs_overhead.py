@@ -22,6 +22,7 @@ The behavioural half of the contract is asserted directly: all three
 runs must produce the identical counter-ledger digest.
 """
 
+import gc
 import time
 
 import pytest
@@ -62,6 +63,10 @@ def _run_mode(mode, fastpath_flags):
             metrics=True,
             sample_interval_s=1.0,
         )
+    # A ~0.1 s run late in a long pytest session: without this, the
+    # session's pending full collection (~80 ms) lands in whichever mode
+    # allocates across the gen-2 threshold — in practice "tracing".
+    gc.collect()
     started = time.perf_counter()
     workload.run(duration_s=_DURATION_S)
     elapsed = time.perf_counter() - started

@@ -4,6 +4,28 @@ The queue is a binary heap ordered by ``(time, sequence)``.  The sequence
 number breaks ties deterministically: two events scheduled for the same
 instant fire in scheduling order, which keeps simulations reproducible
 regardless of heap internals.
+
+Entry layout
+------------
+A heap entry is the tuple ``(time, seq, event)``.  ``heapq`` compares
+entries as tuples, in C: the float, then — on a tie — the int.  ``seq``
+is unique, so a comparison never reaches the third element and
+:class:`Event` needs, and defines, no ordering of its own.  Whoever pops
+an entry (``EventQueue.pop``, ``Simulator.run``) reads the time from the
+entry and everything else from the event.
+
+Handle life-cycle
+-----------------
+The :class:`Event` returned by a push is the caller's handle; its
+``state`` only ever moves forward::
+
+    PENDING --pop--> FIRED          PENDING --cancel--> CANCELLED
+
+A cancelled event stays in the heap as a tombstone until it is popped
+and skipped, or reaped by a compaction.  A fired event has left the
+heap, so its handle is inert: cancelling it — a periodic callback
+stopping itself from within its own tick, say — changes no state and
+no count.
 """
 
 from __future__ import annotations
@@ -12,6 +34,11 @@ import heapq
 import itertools
 
 from repro.core.errors import SimulationError
+
+
+#: Event.state; PENDING is the falsy one, so "is this heap entry a
+#: tombstone" is a bare truth test in the event loop
+PENDING, CANCELLED, FIRED = 0, 1, 2
 
 
 class Event:
@@ -28,37 +55,40 @@ class Event:
     never keep a "run until idle" simulation alive.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon")
+    __slots__ = ("time", "seq", "callback", "args", "state", "daemon")
 
     def __init__(self, time, seq, callback, args, daemon=False):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.cancelled = False
+        self.state = PENDING
         self.daemon = daemon
 
+    @property
+    def cancelled(self):
+        """True once cancelled while pending; a fired event never is."""
+        return self.state == CANCELLED
+
     def cancel(self):
-        """Mark the event so it will be skipped when its time comes."""
-        self.cancelled = True
+        """Mark a pending event so it will be skipped when its time comes."""
+        if self.state == PENDING:
+            self.state = CANCELLED
 
     def fire(self):
         """Invoke the callback (no-op if cancelled)."""
-        if not self.cancelled:
+        if self.state != CANCELLED:
             self.callback(*self.args)
 
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self):
-        state = "cancelled" if self.cancelled else "pending"
+        state = ("pending", "cancelled", "fired")[self.state]
         if self.daemon:
             state += ", daemon"
         return "Event(t=%r, seq=%d, %s)" % (self.time, self.seq, state)
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects.
+    """A deterministic min-heap of ``(time, seq, event)`` entries.
 
     Cancelled events are removed lazily on pop, but the queue does not
     let tombstones accumulate: when dead entries outnumber live ones
@@ -98,8 +128,9 @@ class EventQueue:
         Daemon events fire like any other but are excluded from
         ``len()`` / truthiness, so they never hold a drain loop open.
         """
-        event = Event(time, next(self._counter), callback, args, daemon)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, daemon)
+        heapq.heappush(self._heap, (time, seq, event))
         if daemon:
             self._daemons += 1
         else:
@@ -112,9 +143,10 @@ class EventQueue:
         Raises :class:`SimulationError` when the queue is empty.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+            event = heapq.heappop(self._heap)[2]
+            if event.state:
                 continue
+            event.state = FIRED
             if event.daemon:
                 self._daemons -= 1
             else:
@@ -123,9 +155,9 @@ class EventQueue:
         raise SimulationError("pop from empty event queue")
 
     def cancel(self, event):
-        """Cancel a previously pushed event (idempotent)."""
-        if not event.cancelled:
-            event.cancel()
+        """Cancel a pending event (no-op once cancelled or fired)."""
+        if event.state == PENDING:
+            event.state = CANCELLED
             if event.daemon:
                 self._daemons -= 1
             else:
@@ -137,14 +169,16 @@ class EventQueue:
     def compact(self):
         """Rebuild the heap without tombstones (stable: order unchanged).
 
-        Heapify over ``(time, seq)``-ordered events reproduces exactly
+        Heapify over ``(time, seq)``-ordered entries reproduces exactly
         the pop order lazy deletion would have produced — sequence
-        numbers are unique, so the ordering is total.
+        numbers are unique, so the ordering is total.  The list is
+        rebuilt in place: a running event loop keeps its reference.
         """
-        before = len(self._heap)
-        self._heap = [event for event in self._heap if not event.cancelled]
-        heapq.heapify(self._heap)
-        reaped = before - len(self._heap)
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [entry for entry in heap if not entry[2].state]
+        heapq.heapify(heap)
+        reaped = before - len(heap)
         if reaped:
             self.compactions += 1
             self.tombstones_reaped += reaped
@@ -161,8 +195,7 @@ class EventQueue:
 
     def peek_time(self):
         """Return the time of the earliest live event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if self._heap:
-            return self._heap[0].time
-        return None
+        heap = self._heap
+        while heap and heap[0][2].state:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None

@@ -1,9 +1,12 @@
 """Unit tests for the event queue."""
 
+import random
+
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.sim.events import EventQueue
+from repro.sim import Simulator
+from repro.sim.events import Event, EventQueue
 
 
 def test_push_pop_orders_by_time():
@@ -53,6 +56,17 @@ def test_cancel_is_idempotent():
     queue.cancel(event)
     queue.cancel(event)
     assert len(queue) == 0
+
+
+def test_popped_handle_is_inert():
+    queue = EventQueue()
+    first = queue.push(1.0, lambda: None)
+    queue.push(2.0, lambda: None)
+    assert queue.pop() is first
+    queue.cancel(first)
+    queue.cancel(first)
+    assert not first.cancelled and "fired" in repr(first)
+    assert len(queue) == 1 and queue.tombstones == 0
 
 
 def test_pop_empty_raises():
@@ -147,3 +161,30 @@ def test_cancel_daemon_keeps_tombstone_accounting():
     assert queue.daemons == 0
     assert len(queue) == 1
     assert queue.tombstones == 1
+
+
+def test_ordering_never_reenters_python(monkeypatch):
+    """Heap entries compare as ``(time, seq, ...)`` tuples in C; a
+    comparison that reached the ``Event`` would be a Python call per
+    sift step (the cost PR 14 removed) — here it raises instead."""
+    comparisons = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__")
+    assert not set(comparisons) & set(vars(Event))
+
+    def compared(self, other):
+        raise AssertionError("the heap compared two Event objects")
+
+    for name in comparisons[:4]:
+        monkeypatch.setattr(Event, name, compared, raising=False)
+    sim = Simulator()
+    rng = random.Random(14)
+    fired = []
+    handles = [sim.schedule(rng.randrange(40) * 0.25, fired.append, index)
+               for index in range(10_000)]
+    dead = set(rng.sample(range(len(handles)), 6_000))
+    for index in sorted(dead):
+        sim.cancel(handles[index])
+    assert sim._queue.compactions >= 1
+    sim.run()
+    alive = [(handle.time, handle.seq, index)
+             for index, handle in enumerate(handles) if index not in dead]
+    assert fired == [index for _time, _seq, index in sorted(alive)]

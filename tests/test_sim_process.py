@@ -43,6 +43,23 @@ def test_callback_can_stop_itself(sim):
     assert log == [1.0, 2.0, 3.0]
 
 
+def test_stopping_from_within_keeps_other_work_pending(sim):
+    # stop() cancels the tick that is firing; that must not eat the
+    # live count of an unrelated event still queued behind it.
+    late = []
+    holder = {}
+
+    def tick():
+        if sim.now >= 2.0:
+            holder["p"].stop()
+
+    holder["p"] = PeriodicProcess(sim, 1.0, tick)
+    sim.schedule(5.0, late.append, "late")
+    sim.run()
+    assert late == ["late"]
+    assert sim.now == 5.0 and sim.pending == 0
+
+
 def test_invalid_period_rejected(sim):
     with pytest.raises(ValueError):
         PeriodicProcess(sim, 0.0, lambda: None)

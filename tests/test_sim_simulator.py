@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import SimulationError
+from repro.obs.profile import EventProfile
 from repro.sim import Simulator
 
 
@@ -82,6 +83,40 @@ def test_cancel_scheduled_event(sim):
     assert log == []
 
 
+def test_cancel_after_fire_is_inert(sim):
+    log = []
+    fired = sim.schedule(1.0, log.append, "a")
+    sim.schedule(5.0, log.append, "b")
+    sim.run(until=2.0)
+    sim.cancel(fired)           # the handle's event is long gone
+    assert not fired.cancelled and "fired" in repr(fired)
+    assert sim.pending == 1 and sim._queue.tombstones == 0
+    sim.run()
+    assert log == ["a", "b"]
+
+
+@pytest.mark.parametrize("drain", ["run", "profiled", "step"])
+def test_event_cancelling_itself_changes_no_count(sim, drain):
+    log = []
+    holder = {}
+    holder["self"] = sim.schedule(1.0, lambda: sim.cancel(holder["self"]))
+    sim.schedule(2.0, log.append, "later")
+    if drain == "step":
+        assert sim.step() and sim.pending == 1
+        assert sim.step() and not sim.step()
+    else:
+        sim.run(profile=EventProfile() if drain == "profiled" else None)
+    assert log == ["later"] and sim.events_processed == 2
+    assert sim.pending == 0 and sim._queue.tombstones == 0
+
+
+@pytest.mark.parametrize("verb", ["schedule", "schedule_at", "schedule_daemon"])
+def test_nan_time_rejected(sim, verb):
+    with pytest.raises(SimulationError):
+        getattr(sim, verb)(float("nan"), lambda: None)
+    assert sim.pending == 0 and sim._queue.daemons == 0
+
+
 def test_max_events_cap(sim):
     for _ in range(10):
         sim.schedule(1.0, lambda: None)
@@ -98,6 +133,17 @@ def test_step_processes_one(sim):
     assert log == [1]
     assert sim.step()
     assert not sim.step()
+
+
+def test_step_reports_done_when_only_daemons_remain(sim):
+    log = []
+    sim.schedule_daemon(1.0, log.append, "daemon")
+    sim.schedule(2.0, log.append, "work")
+    assert sim.step() and sim.step()    # daemons fire in time order
+    assert log == ["daemon", "work"]
+    sim.schedule_daemon(1.0, log.append, "idle")
+    assert not sim.step()
+    assert sim.events_processed == 2
 
 
 def test_events_processed_counter(sim):
