@@ -95,9 +95,7 @@ class BorderRouter:
     """Pubsub-synced fabric border with external routes."""
 
     def __init__(self, sim, name, rloc, node, underlay, routing_server_rloc,
-                 external_sink=None, megaflow=False, megaflow_max_entries=4096,
-                 transit_retry=None, away_refresh_s=None,
-                 away_anchor_ttl_s=None, seed=31):
+                 config):
         self.sim = sim
         self.name = name
         self.rloc = rloc
@@ -105,7 +103,7 @@ class BorderRouter:
         self.underlay = underlay
         self.routing_server_rloc = routing_server_rloc
         #: callable (vn, packet) for traffic leaving the fabric
-        self.external_sink = external_sink
+        self.external_sink = None
         #: synchronized copy of the routing server's mappings
         self.synced = MappingDatabase()
         self._external = {}     # vn int -> PatriciaTrie of external prefixes
@@ -114,7 +112,7 @@ class BorderRouter:
         #: data-plane fast path: memoized relay decisions (synced-FIB
         #: resolution + encap template) keyed (VN, src group, dst EID);
         #: flushed on every pub/sub route change.  Off by default.
-        self.megaflow = MegaflowCache(megaflow_max_entries) if megaflow else None
+        self.megaflow = MegaflowCache() if config.megaflow else None
         # -- transit side (populated by connect_transit) --
         self.transit = None           # transit UnderlayNetwork
         self.transit_rloc = None
@@ -131,18 +129,8 @@ class BorderRouter:
         # -- chaos suite (all knobs default off) --
         #: process-down flag: while failed, the border answers nothing.
         self.failed = False
-        #: retry policy for transit map-requests.  Without it a lost
-        #: request wedges ``_transit_pending`` forever (thunks queue to
-        #: the limit, then drop) — the latent bug the chaos suite found.
-        self.transit_retry = transit_retry
-        #: foreign-side soft state: re-announce our roamed-in endpoints
-        #: to their home borders on this period, so a home border that
-        #: lost its away table (crash, partition) re-learns it.
-        self.away_refresh_s = away_refresh_s
-        #: home-side TTL: release away anchors not refreshed this long —
-        #: a foreign site that silently died stops hairpinning traffic
-        #: into a black hole.
-        self.away_anchor_ttl_s = away_anchor_ttl_s
+        # transit-side soft-state knobs; see connect_transit
+        self.transit_retry = self.away_refresh_s = self.away_anchor_ttl_s = None
         #: (vn int, eid prefix) -> (vn, eid, group, mac, initiated_at)
         #: of away announcements this border made (foreign side).
         self._served_away = {}
@@ -150,26 +138,24 @@ class BorderRouter:
         self._away_refreshed_at = {}
         #: away anchor group/mac (needed to re-register adopted anchors).
         self._away_meta = {}
-        self._rng = SeededRng(seed).spawn(name)
+        self._rng = SeededRng(31).spawn(name)
         underlay.attach(rloc, node, self._on_packet)
 
     def subscribe(self):
         """Subscribe to all route updates (call once after control plane up)."""
         message = SubscribeRequest(self.rloc)
-        self.underlay.send(
-            self.rloc, self.routing_server_rloc,
-            control_packet(self.rloc, self.routing_server_rloc, message),
-        )
+        self._send_site(self.routing_server_rloc, message)
 
     # -- transit attachment (multi-site) -------------------------------------------
     def connect_transit(self, transit, transit_rloc, transit_node,
-                        transit_map_server_rloc, site_register_rlocs=(),
-                        pending_limit=16, negative_ttl=15.0):
+                        transit_map_server_rloc, config,
+                        site_register_rlocs=()):
         """Attach this border to the inter-site transit underlay.
 
-        ``site_register_rlocs`` are this site's routing servers — the away
-        anchor registers roamed-out endpoints there so intra-site traffic
-        reaches the border for hairpinning.
+        ``config`` is the deployment's MultiSiteConfig (transit-side
+        knobs).  ``site_register_rlocs`` are this site's routing servers
+        — the away anchor registers roamed-out endpoints there so
+        intra-site traffic reaches the border for hairpinning.
         """
         if self.transit is not None:
             raise ConfigurationError("%s already transit-connected" % self.name)
@@ -178,11 +164,24 @@ class BorderRouter:
         self.transit_node = transit_node
         self.transit_map_server_rloc = transit_map_server_rloc
         self._site_register_rlocs = tuple(site_register_rlocs)
-        self.transit_pending_limit = pending_limit
+        self.transit_pending_limit = config.transit_pending_limit
+        #: retry policy for transit map-requests.  Without it a lost
+        #: request wedges ``_transit_pending`` forever (thunks queue to
+        #: the limit, then drop) — the latent bug the chaos suite found.
+        self.transit_retry = config.transit_retry
+        #: foreign-side soft state: re-announce our roamed-in endpoints
+        #: to their home borders on this period, so a home border that
+        #: lost its away table (crash, partition) re-learns it.
+        self.away_refresh_s = config.away_refresh_s
+        #: home-side TTL: release away anchors not refreshed this long —
+        #: a foreign site that silently died stops hairpinning traffic
+        #: into a black hole.
+        self.away_anchor_ttl_s = config.away_anchor_ttl_s
         # Site aggregates are long-lived (the reply's TTL governs);
         # negative results get the same short TTL edges use, so traffic
         # to unassigned space cannot turn into per-packet transit load.
-        self.transit_cache = MapCache(self.sim, negative_ttl=negative_ttl)
+        self.transit_cache = MapCache(
+            self.sim, negative_ttl=config.site.negative_ttl)
         transit.attach(transit_rloc, transit_node, self._on_transit_packet)
         if self.away_refresh_s is not None:
             self.sim.schedule_daemon(self.away_refresh_s,
@@ -336,10 +335,7 @@ class BorderRouter:
             for server_rloc in self._site_register_rlocs:
                 register = MapRegister(vn, eid, self.rloc, group, mac=mac,
                                        mobility=True)
-                self.underlay.send(
-                    self.rloc, server_rloc,
-                    control_packet(self.rloc, server_rloc, register),
-                )
+                self._send_site(server_rloc, register)
         self._mf_flush()
 
     def adopt_transit_rloc(self, rloc):
@@ -402,10 +398,7 @@ class BorderRouter:
             # RLOC-guarded: a fresh local re-registration is never torn
             # down by the sweep.
             unregister = MapUnregister(vn, eid, self.rloc)
-            self.underlay.send(
-                self.rloc, server_rloc,
-                control_packet(self.rloc, server_rloc, unregister),
-            )
+            self._send_site(server_rloc, unregister)
 
     # -- external routes -----------------------------------------------------------
     def add_external_route(self, vn, prefix, label="internet"):
@@ -740,10 +733,7 @@ class BorderRouter:
                                    message.group, mac=message.mac,
                                    mobility=True)
             register.trace_ctx = span.ctx
-            self.underlay.send(
-                self.rloc, server_rloc,
-                control_packet(self.rloc, server_rloc, register),
-            )
+            self._send_site(server_rloc, register)
         span.finish(outcome="anchored")
 
     def _handle_away_unregister(self, message):
@@ -770,11 +760,13 @@ class BorderRouter:
             # fresh registration) is never torn down.
             unregister = MapUnregister(message.vn, message.eid, self.rloc)
             unregister.trace_ctx = span.ctx
-            self.underlay.send(
-                self.rloc, server_rloc,
-                control_packet(self.rloc, server_rloc, unregister),
-            )
+            self._send_site(server_rloc, unregister)
         span.finish(outcome="released")
+
+    def _send_site(self, dst_rloc, message):
+        self.underlay.send(
+            self.rloc, dst_rloc, control_packet(self.rloc, dst_rloc, message)
+        )
 
     def _send_transit(self, dst_rloc, message):
         self.transit.send(

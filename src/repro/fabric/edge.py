@@ -16,8 +16,6 @@ stale-mapping refresh (fig. 6).
 
 from __future__ import annotations
 
-from repro.core.batching import Batcher
-from repro.core.breaker import CircuitBreaker
 from repro.core.counters import Counters
 from repro.core.errors import ConfigurationError
 from repro.lisp.mapcache import MapCache
@@ -40,6 +38,7 @@ from repro.lisp.messages import (
     SolicitMapRequest,
     control_packet,
 )
+from repro.lisp.registrar import RegisterPacer
 from repro.net.packet import UdpHeader
 from repro.net.vxlan import (
     VXLAN_PORT,
@@ -60,6 +59,13 @@ ENFORCE_INGRESS = "ingress"
 
 #: Local port-to-endpoint delivery delay (switching latency).
 PORT_DELAY_S = 20e-6
+
+#: Reactive resolution robustness: resend an unanswered Map-Request
+#: after the timeout, up to this many times.  Retries alternate across
+#: the known routing servers, giving failover when the control plane is
+#: clustered.
+MAP_REQUEST_TIMEOUT_S = 1.0
+MAP_REQUEST_RETRIES = 2
 
 
 class EdgeRouterCounters(Counters):
@@ -109,20 +115,9 @@ class EdgeRouterCounters(Counters):
 class EdgeRouter:
     """One fabric edge: pipelines, map-cache, VRFs, onboarding, mobility."""
 
-    def __init__(self, sim, name, rloc, node, underlay,
-                 routing_server_rloc, policy_server_rloc, border_rloc,
-                 dhcp=None, enforcement=ENFORCE_EGRESS,
-                 map_cache_ttl=1200.0, negative_ttl=15.0,
-                 detection_delay_s=2e-3, watch_underlay=True,
-                 register_families=("ipv4", "ipv6", "mac"),
-                 register_rlocs=None,
-                 map_request_timeout_s=1.0, map_request_retries=2,
-                 default_route_to_border=True,
-                 batching=False, register_flush_s=2e-3,
-                 megaflow=False, megaflow_max_entries=4096,
-                 register_retry=None, register_refresh_s=None,
-                 backup_border_rlocs=(), seed=29,
-                 backpressure=False, breaker=None, serve_stale_s=None):
+    def __init__(self, sim, name, rloc, node, underlay, config,
+                 routing_server_rloc, register_rlocs, policy_server_rloc,
+                 border_rloc, dhcp, backup_border_rlocs=()):
         self.sim = sim
         self.name = name
         self.rloc = rloc
@@ -132,65 +127,38 @@ class EdgeRouter:
         self.policy_server_rloc = policy_server_rloc
         self.border_rloc = border_rloc
         self.dhcp = dhcp
-        if enforcement not in (ENFORCE_EGRESS, ENFORCE_INGRESS):
-            raise ConfigurationError("unknown enforcement point %r" % enforcement)
-        self.enforcement = enforcement
+        # ``config`` is the fabric's FabricConfig, where each knob is
+        # documented; what the per-packet and per-registration paths
+        # read is copied to plain attributes here, once.
+        self.enforcement = config.enforcement
         #: time for the edge to detect a newly attached endpoint
-        self.detection_delay_s = detection_delay_s
+        self.detection_delay_s = config.edge_detection_delay_s
         #: which EID families to register (warehouse runs register IPv4
         #: only, matching the paper's two-queries-per-move accounting)
-        self.register_families = tuple(register_families)
+        self.register_families = config.register_families
         #: where Map-Registers go.  With horizontally scaled routing
         #: servers (sec. 4.1), requests go to this edge's assigned server
         #: (``routing_server_rloc``) while "route updates [are performed]
         #: on all servers" — so registrations fan out to every server.
-        self.register_rlocs = (
-            tuple(register_rlocs) if register_rlocs else (routing_server_rloc,)
-        )
-        #: reactive resolution robustness: resend an unanswered
-        #: Map-Request after this long, up to ``map_request_retries``
-        #: times.  Retries alternate across the known routing servers,
-        #: giving failover when the control plane is clustered.
-        self.map_request_timeout_s = map_request_timeout_s
-        self.map_request_retries = map_request_retries
+        self.register_rlocs = tuple(register_rlocs)
         #: the sec. 3.2.2 design decision: forward unresolved traffic to
         #: the border.  Disabling it (for the ablation) makes the edge
         #: drop on miss, exposing the raw initial-connection loss a
         #: reactive protocol would otherwise have.
-        self.default_route_to_border = default_route_to_border
-        #: control-plane fast path: coalesce per-family registers (and
-        #: deregistrations, in-band) per server within a flush window.
-        self.batching = batching
-        self.register_flush_s = register_flush_s
-        self._register_batchers = {}   # server rloc -> Batcher
-        #: chaos-suite recovery knobs, all off by default so the
-        #: fire-and-forget baseline stays bit-identical.
-        #: ``register_retry`` (a :class:`repro.core.RetryPolicy`) turns
-        #: registrations into acked messages (registrar ack to
-        #: ourselves) with exponential-backoff resends; a lost
-        #: Map-Register no longer strands an endpoint forever.
-        self.register_retry = register_retry
-        #: re-register every local endpoint on this period — soft-state
-        #: refresh that repopulates a cold-restarted routing server and
-        #: feeds its registration TTL sweep.
-        self.register_refresh_s = register_refresh_s
+        self.default_route_to_border = True
+        self.batching = config.batching
+        self.register_retry = config.register_retry
+        self.register_refresh_s = config.register_refresh_s
         self._pending_registers = {}   # nonce -> (server rloc, records, attempt)
-        #: overload armor (all default off, zero-footprint): react to
-        #: the server's in-band overloaded bit by widening the batch
-        #: flush window and stretching the refresh period...
-        self.backpressure = backpressure
-        self._bp_factor = 1.0
-        self.bp_max_factor = 8.0
-        self.bp_overload_acks = 0
-        #: ...and gate registration retries behind a per-server circuit
-        #: breaker so a fleet of retriers cannot storm a drowning server.
-        self.breaker_policy = breaker
-        self._breakers = {}            # server rloc -> CircuitBreaker
-        self.breaker_deferrals = 0
         #: data packets forwarded on a stale (expired, in the
         #: serve-stale window) map-cache entry while re-resolving
         self.stale_served = 0
-        self._rng = SeededRng(seed).spawn(name)
+        self._rng = SeededRng(29).spawn(name)
+        #: batch windows + the overload armor (default off,
+        #: zero-footprint): backpressure on the in-band overloaded bit
+        #: and a per-server circuit breaker on the resend path
+        self.pacer = RegisterPacer(sim, config, self._rng,
+                                   self._flush_registers)
         #: VRRP-less border redundancy: when the IGP declares the
         #: current border dead, rotate to the next reachable backup.
         self._border_rlocs = (border_rloc,) + tuple(backup_border_rlocs)
@@ -200,12 +168,12 @@ class EdgeRouter:
         #: (VN, src group, dst EID); see :mod:`repro.net.fastpath`.
         #: Off by default so the per-packet pipeline stays the ablation
         #: baseline.
-        self.megaflow = MegaflowCache(megaflow_max_entries) if megaflow else None
+        self.megaflow = MegaflowCache() if config.megaflow else None
 
         self.vrf = VrfTable()
-        self.map_cache = MapCache(sim, default_ttl=map_cache_ttl,
-                                  negative_ttl=negative_ttl,
-                                  serve_stale_s=serve_stale_s)
+        self.map_cache = MapCache(sim, default_ttl=config.map_cache_ttl,
+                                  negative_ttl=config.negative_ttl,
+                                  serve_stale_s=config.serve_stale_s)
         self.acl = GroupAcl()
         self.counters = EdgeRouterCounters()
         #: packets an endpoint sent while this edge was rebooting or
@@ -222,10 +190,10 @@ class EdgeRouter:
         self._pending_resolution = {}  # (vn int, eid) -> count of packets since request
 
         underlay.attach(rloc, node, self._on_packet)
-        if watch_underlay and underlay.igp is not None:
+        if underlay.igp is not None:
             underlay.subscribe_reachability(node, self._on_reachability)
-        if register_refresh_s is not None:
-            sim.schedule_daemon(register_refresh_s, self._refresh_tick)
+        if self.register_refresh_s is not None:
+            sim.schedule_daemon(self.register_refresh_s, self._refresh_tick)
 
     # ------------------------------------------------------------------ attachment
     def allocate_port(self):
@@ -303,13 +271,7 @@ class EdgeRouter:
         endpoint.vn = result.vn
         endpoint.group = result.group
         if not roaming:
-            if self.dhcp is not None:
-                endpoint.ip, endpoint.ipv6 = self.dhcp.lease(result.vn, endpoint.identity)
-            elif endpoint.ip is None:
-                raise ConfigurationError(
-                    "endpoint %s has no IP and edge %s has no DHCP"
-                    % (endpoint.identity, self.name)
-                )
+            endpoint.ip, endpoint.ipv6 = self.dhcp.lease(result.vn, endpoint.identity)
         entry = LocalEndpointEntry(
             endpoint, result.vn, result.group, port,
             endpoint.ip, ipv6=endpoint.ipv6, mac=endpoint.mac,
@@ -350,12 +312,10 @@ class EdgeRouter:
         ``refresh`` marks periodic keepalives so a bounded map server
         can shed them first under overload.
         """
-        for eid in self._endpoint_eids(endpoint):
-            if eid.family not in self.register_families:
-                continue
+        for eid in endpoint.eids(self.register_families):
             for server_rloc in self.register_rlocs:
                 if self.batching:
-                    self._submit_register_record(server_rloc, EidRecord(
+                    self.pacer.batcher(server_rloc).submit(EidRecord(
                         endpoint.vn, eid, self.rloc, group=endpoint.group,
                         mac=endpoint.mac if eid.family != "mac" else None,
                         mobility=roaming, refresh=refresh,
@@ -372,18 +332,6 @@ class EdgeRouter:
                 if self.register_retry is not None:
                     self._track_register(server_rloc, register, attempt=0)
                 self._send_control(server_rloc, register)
-
-    def _submit_register_record(self, server_rloc, record):
-        batcher = self._register_batchers.get(server_rloc)
-        if batcher is None:
-            batcher = Batcher(
-                self.sim,
-                lambda records, rloc=server_rloc:
-                    self._flush_registers(rloc, records),
-                window_s=self.register_flush_s * self._bp_factor,
-            )
-            self._register_batchers[server_rloc] = batcher
-        batcher.submit(record)
 
     def _flush_registers(self, server_rloc, records):
         if self.rebooting:
@@ -430,34 +378,15 @@ class EdgeRouter:
         )
         if not any(not record.withdraw for record in survivors):
             return  # nothing acked is left to claim
-        if self.breaker_policy is not None:
-            breaker = self._breaker(server_rloc)
-            breaker.record_failure()
-            if not breaker.allow():
-                # Breaker open: hold the pending registration instead of
-                # feeding the retry storm; probe when it half-opens.
-                # The attempt is not burned.
-                self.breaker_deferrals += 1
-                self._pending_registers[nonce] = (server_rloc, records,
-                                                  attempt)
-                self.sim.schedule(
-                    max(breaker.remaining_s, self.register_retry.base_s),
-                    self._check_register, nonce,
-                )
-                return
+        if self.pacer.deferred(server_rloc, self._check_register, nonce):
+            # Breaker open: the registration stays pending meanwhile.
+            self._pending_registers[nonce] = (server_rloc, records, attempt)
+            return
         self.counters.register_retries_sent += 1
         self.counters.map_registers_sent += 1
         retry = MapRegister(records=survivors, registrar_rloc=self.rloc)
         self._track_register(server_rloc, retry, attempt + 1)
         self._send_control(server_rloc, retry)
-
-    def _breaker(self, server_rloc):
-        breaker = self._breakers.get(server_rloc)
-        if breaker is None:
-            breaker = CircuitBreaker(self.sim, self.breaker_policy,
-                                     rng=self._rng)
-            self._breakers[server_rloc] = breaker
-        return breaker
 
     def _still_local(self, record):
         """Does this EID still belong to an endpoint attached here?"""
@@ -484,7 +413,7 @@ class EdgeRouter:
         # Backpressure stretches the refresh period by the current
         # factor (1.0 — a float no-op — unless the server signaled
         # overload on a recent ack).
-        self.sim.schedule_daemon(self.register_refresh_s * self._bp_factor,
+        self.sim.schedule_daemon(self.register_refresh_s * self.pacer.factor,
                                  self._refresh_tick)
 
     def detach_endpoint(self, endpoint, deregister=False):
@@ -502,14 +431,12 @@ class EdgeRouter:
             endpoint.edge = None
             endpoint.port = None
         if deregister and endpoint.onboarded:
-            for eid in self._endpoint_eids(endpoint):
-                if eid.family not in self.register_families:
-                    continue
+            for eid in endpoint.eids(self.register_families):
                 for server_rloc in self.register_rlocs:
                     if self.batching:
                         # In-band withdrawal keeps FIFO order against a
                         # registration still sitting in the open batch.
-                        self._submit_register_record(server_rloc, EidRecord(
+                        self.pacer.batcher(server_rloc).submit(EidRecord(
                             endpoint.vn, eid, self.rloc, withdraw=True,
                         ))
                         continue
@@ -517,15 +444,6 @@ class EdgeRouter:
                         server_rloc,
                         MapUnregister(endpoint.vn, eid, self.rloc),
                     )
-
-    @staticmethod
-    def _endpoint_eids(endpoint):
-        eids = [endpoint.ip.to_prefix()]
-        if endpoint.ipv6 is not None:
-            eids.append(endpoint.ipv6.to_prefix())
-        if endpoint.mac is not None:
-            eids.append(endpoint.mac.to_prefix())
-        return eids
 
     # ------------------------------------------------------------------ fabric wireless
     def attach_ap(self, ap):
@@ -575,7 +493,7 @@ class EdgeRouter:
         )
         self.vrf.add(entry)
         self.acl.program(rules)
-        for eid in self._endpoint_eids(station):
+        for eid in station.eids():
             self.map_cache.invalidate(vn, eid)
         self._mf_flush()
         station.edge = self
@@ -766,14 +684,14 @@ class EdgeRouter:
         )
         target = servers[attempt % len(servers)]
         self._send_control(target, request)
-        self.sim.schedule(self.map_request_timeout_s,
+        self.sim.schedule(MAP_REQUEST_TIMEOUT_S,
                           self._check_resolution, vn, dst, attempt)
 
     def _check_resolution(self, vn, dst, attempt):
         key = (int(vn), dst)
         if key not in self._pending_resolution or self.rebooting:
             return  # answered (or state reset) in the meantime
-        if attempt >= self.map_request_retries:
+        if attempt >= MAP_REQUEST_RETRIES:
             # Give up; the next data packet restarts resolution.  Traffic
             # kept flowing via the border default route throughout.
             del self._pending_resolution[key]
@@ -926,19 +844,17 @@ class EdgeRouter:
             del self._pending_resolution[key]
         if reply.is_negative:
             self.map_cache.install_negative(reply.vn, reply.eid, ttl=reply.negative_ttl)
-            self._mf_flush()
-            if self.l2_gateway is not None:
-                self.l2_gateway.on_map_reply(reply)
-            return
-        record = reply.record
-        # Cache lifetime: the server's advisory TTL capped by this edge's
-        # own cache policy (the knob the FIB-state experiments turn).
-        ttl = min(record.ttl, self.map_cache.default_ttl)
-        self.map_cache.install(
-            reply.vn, record.eid, record.rloc,
-            group=record.group, version=record.version, ttl=ttl,
-            mac=record.mac,
-        )
+        else:
+            record = reply.record
+            # Cache lifetime: the server's advisory TTL capped by this
+            # edge's own cache policy (the knob the FIB-state
+            # experiments turn).
+            ttl = min(record.ttl, self.map_cache.default_ttl)
+            self.map_cache.install(
+                reply.vn, record.eid, record.rloc,
+                group=record.group, version=record.version, ttl=ttl,
+                mac=record.mac,
+            )
         self._mf_flush()
         if self.l2_gateway is not None:
             self.l2_gateway.on_map_reply(reply)
@@ -956,10 +872,7 @@ class EdgeRouter:
             server_rloc = self._pending_registers[notify.nonce][0]
             del self._pending_registers[notify.nonce]
             self.counters.register_acks_received += 1
-            if self.breaker_policy is not None:
-                self._breaker(server_rloc).record_success()
-            if self.backpressure:
-                self._note_backpressure(notify.overloaded)
+            self.pacer.on_ack(server_rloc, notify.overloaded)
             return
         with self.sim.tracer.span("edge_map_notify", device=self,
                                   parent=notify.trace_ctx,
@@ -987,25 +900,6 @@ class EdgeRouter:
                 group=record.group, version=record.version, ttl=ttl,
                 mac=record.mac,
             )
-
-    def _note_backpressure(self, overloaded):
-        """Adapt signaling cadence to the server's in-band overload bit.
-
-        Multiplicative increase on an overloaded ack, halving decay on a
-        clean one (AIMD-flavoured, bounded by ``bp_max_factor``).  The
-        factor widens the batch flush windows immediately and stretches
-        the refresh period at its next rearm.
-        """
-        factor = self._bp_factor
-        if overloaded:
-            self.bp_overload_acks += 1
-            factor = min(self.bp_max_factor, factor * 2.0)
-        else:
-            factor = max(1.0, factor * 0.5)
-        if factor != self._bp_factor:
-            self._bp_factor = factor
-            for batcher in self._register_batchers.values():
-                batcher.window_s = self.register_flush_s * factor
 
     def _handle_smr(self, smr):
         """Fig. 6 step 4: drop the stale mapping and re-resolve."""
@@ -1077,12 +971,8 @@ class EdgeRouter:
         self._pending_resolution = {}
         self._pending_auth = {}
         self._pending_registers = {}
-        self._breakers = {}
-        self._bp_factor = 1.0
+        self.pacer.reset()
         self._ports = {}
-        for batcher in self._register_batchers.values():
-            batcher.discard()
-            batcher.window_s = self.register_flush_s
         if silent_in_igp:
             self.underlay.set_announced(self.rloc, False)
         self.sim.schedule(duration_s, self._reboot_done, silent_in_igp)

@@ -47,6 +47,12 @@ class Endpoint:
     def onboarded(self):
         return self.ip is not None and self.vn is not None
 
+    def eids(self, families=("ipv4", "ipv6", "mac")):
+        """Host prefixes of the assigned addresses in ``families``."""
+        return [address.to_prefix()
+                for address in (self.ip, self.ipv6, self.mac)
+                if address is not None and address.family in families]
+
     def receive(self, packet, now):
         """Called by the serving edge when a packet is delivered."""
         self.packets_received += packet.train

@@ -12,11 +12,13 @@ border-edge links.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from repro.core.errors import ConfigurationError
 from repro.core.types import VNId
 from repro.fabric.border import BorderRouter
 from repro.fabric.dhcp import DhcpServer
-from repro.fabric.edge import ENFORCE_EGRESS, EdgeRouter
+from repro.fabric.edge import ENFORCE_EGRESS, ENFORCE_INGRESS, EdgeRouter
 from repro.fabric.endpoint import Endpoint
 from repro.fabric.l2 import L2Gateway
 from repro.net.addresses import IPv4Address, MacAddress, Prefix
@@ -32,94 +34,106 @@ from repro.underlay.network import UnderlayNetwork
 from repro.underlay.topology import Topology
 
 
-class FabricConfig:
-    """Knobs for building a fabric (paper-calibrated defaults)."""
+#: FabricConfig's fields and defaults: the one place a knob is declared.
+_FABRIC_DEFAULTS = dict(
+    num_borders=1,
+    num_edges=7,
+    num_routing_servers=1,
+    enforcement=ENFORCE_EGRESS,
+    map_cache_ttl=1200.0,
+    negative_ttl=15.0,
+    edge_detection_delay_s=2e-3,
+    link_delay_s=50e-6,
+    link_bandwidth_bps=10e9,
+    use_igp=True,
+    l2_services=False,
+    underlay_jitter_s=20e-6,
+    register_families=("ipv4", "ipv6", "mac"),
+    seed=42,
+    #: disjoint MAC numbering block (multi-site: one block per site so
+    #: endpoints minted by different fabrics never collide on MAC)
+    mac_block=0,
+    #: control-plane fast path knobs (all off by default so every
+    #: experiment can ablate them): ``batching`` coalesces edge and WLC
+    #: Map-Registers (and deregistrations, in-band) per server within a
+    #: ``register_flush_s`` window, and batches SXP deltas;
+    #: ``session_cache`` enables RADIUS session resumption on the
+    #: policy server.
+    batching=False,
+    register_flush_s=2e-3,
+    session_cache=False,
+    session_cache_ttl_s=600.0,
+    #: data-plane fast path knob (also default off): every edge and
+    #: border memoizes complete forwarding decisions in an OVS-style
+    #: megaflow cache (see :mod:`repro.net.fastpath`).
+    megaflow=False,
+    #: chaos-suite recovery knobs (all off by default — the
+    #: fire-and-forget baseline stays bit-identical):
+    #: ``register_retry`` (a :class:`repro.core.RetryPolicy`) turns
+    #: edge registrations into acked messages and resends unacked edge
+    #: and WLC ones with exponential backoff, so a lost Map-Register no
+    #: longer strands an endpoint; ``register_refresh_s`` makes every
+    #: edge periodically re-register its local endpoints, which
+    #: repopulates a cold-restarted routing server and feeds its TTL sweep;
+    #: ``border_failover`` gives each edge the other borders as
+    #: default-route backups; ``registration_ttl_s`` +
+    #: ``registration_sweep_s`` turn server-side registrations into
+    #: soft state that expires when no refresh arrives.
+    register_retry=None,
+    register_refresh_s=None,
+    border_failover=False,
+    registration_ttl_s=None,
+    registration_sweep_s=None,
+    #: overload-armor knobs (all off by default — with every knob at
+    #: its default the fabric is bit-identical to the unarmored
+    #: build): ``server_max_pending`` / ``server_max_backlog_s``
+    #: bound each routing server's FIFO (admission control with
+    #: priority classes kicks in once bounded);  ``backpressure``
+    #: makes edges and the WLC react to the in-band overloaded bit on
+    #: acks by widening batch windows and stretching refresh periods;
+    #: ``breaker`` is a :class:`repro.core.BreakerPolicy` wrapping
+    #: the register-retry path in a circuit breaker;
+    #: ``serve_stale_s`` turns on stale-while-revalidate map-caches.
+    server_max_pending=None,
+    server_max_backlog_s=None,
+    backpressure=False,
+    breaker=None,
+    serve_stale_s=None,
+)
 
-    def __init__(self, num_borders=1, num_edges=7,
-                 num_routing_servers=1,
-                 enforcement=ENFORCE_EGRESS,
-                 map_cache_ttl=1200.0, negative_ttl=15.0,
-                 edge_detection_delay_s=2e-3,
-                 link_delay_s=50e-6, link_bandwidth_bps=10e9,
-                 use_igp=True, l2_services=False,
-                 underlay_jitter_s=20e-6,
-                 register_families=("ipv4", "ipv6", "mac"), seed=42,
-                 mac_block=0,
-                 batching=False, register_flush_s=2e-3,
-                 session_cache=False, session_cache_ttl_s=600.0,
-                 cached_auth_service_s=50e-6,
-                 megaflow=False, megaflow_max_entries=4096,
-                 register_retry=None, register_refresh_s=None,
-                 border_failover=False,
-                 registration_ttl_s=None, registration_sweep_s=None,
-                 server_max_pending=None, server_max_backlog_s=None,
-                 backpressure=False, breaker=None, serve_stale_s=None):
-        if num_borders < 1:
-            raise ConfigurationError("a fabric needs at least one border")
-        if num_edges < 1:
-            raise ConfigurationError("a fabric needs at least one edge")
-        if num_routing_servers < 1:
-            raise ConfigurationError("a fabric needs at least one routing server")
-        self.num_borders = num_borders
-        self.num_edges = num_edges
-        self.num_routing_servers = num_routing_servers
-        self.enforcement = enforcement
-        self.map_cache_ttl = map_cache_ttl
-        self.negative_ttl = negative_ttl
-        self.edge_detection_delay_s = edge_detection_delay_s
-        self.link_delay_s = link_delay_s
-        self.link_bandwidth_bps = link_bandwidth_bps
-        self.use_igp = use_igp
-        self.l2_services = l2_services
-        self.underlay_jitter_s = underlay_jitter_s
-        self.register_families = tuple(register_families)
-        self.seed = seed
-        #: disjoint MAC numbering block (multi-site: one block per site so
-        #: endpoints minted by different fabrics never collide on MAC)
-        self.mac_block = mac_block
-        #: control-plane fast path knobs (all off by default so every
-        #: experiment can ablate them): ``batching`` batches edge
-        #: Map-Registers + SXP deltas; ``session_cache`` enables RADIUS
-        #: session resumption on the policy server.
-        self.batching = batching
-        self.register_flush_s = register_flush_s
-        self.session_cache = session_cache
-        self.session_cache_ttl_s = session_cache_ttl_s
-        self.cached_auth_service_s = cached_auth_service_s
-        #: data-plane fast path knob (also default off): every edge and
-        #: border memoizes complete forwarding decisions in an OVS-style
-        #: megaflow cache (see :mod:`repro.net.fastpath`).
-        self.megaflow = megaflow
-        self.megaflow_max_entries = megaflow_max_entries
-        #: chaos-suite recovery knobs (all off by default — the
-        #: fire-and-forget baseline stays bit-identical):
-        #: ``register_retry`` is a :class:`repro.core.RetryPolicy` for
-        #: unacked edge registrations; ``register_refresh_s`` makes
-        #: every edge periodically re-register its local endpoints;
-        #: ``border_failover`` gives each edge the other borders as
-        #: default-route backups; ``registration_ttl_s`` +
-        #: ``registration_sweep_s`` turn server-side registrations into
-        #: soft state that expires when no refresh arrives.
-        self.register_retry = register_retry
-        self.register_refresh_s = register_refresh_s
-        self.border_failover = border_failover
-        self.registration_ttl_s = registration_ttl_s
-        self.registration_sweep_s = registration_sweep_s
-        #: overload-armor knobs (all off by default — with every knob at
-        #: its default the fabric is bit-identical to the unarmored
-        #: build): ``server_max_pending`` / ``server_max_backlog_s``
-        #: bound each routing server's FIFO (admission control with
-        #: priority classes kicks in once bounded);  ``backpressure``
-        #: makes edges react to the in-band overloaded bit on acks by
-        #: widening batch windows and stretching refresh periods;
-        #: ``breaker`` is a :class:`repro.core.BreakerPolicy` wrapping
-        #: the register-retry path in a circuit breaker;
-        #: ``serve_stale_s`` turns on stale-while-revalidate map-caches.
-        self.server_max_pending = server_max_pending
-        self.server_max_backlog_s = server_max_backlog_s
-        self.backpressure = backpressure
-        self.breaker = breaker
-        self.serve_stale_s = serve_stale_s
+
+class FabricConfig(namedtuple("FabricConfig", _FABRIC_DEFAULTS,
+                              defaults=_FABRIC_DEFAULTS.values())):
+    """Knobs for building a fabric (paper-calibrated defaults).
+
+    Flat and frozen.  The facade hands this object to every device it
+    builds and :class:`repro.multisite.MultiSiteConfig` embeds one.  A
+    namedtuple, not a dataclass: ``import dataclasses`` pulls in
+    ``inspect`` (+1.6 MB RSS), more than the benchmark's 5% bound on
+    ``peak_rss_mb`` allows on its 22 MB wired workloads.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, **knobs):
+        self = super().__new__(cls, **knobs)
+        for count in ("num_borders", "num_edges", "num_routing_servers"):
+            if getattr(self, count) < 1:
+                raise ConfigurationError("a fabric needs %s >= 1" % count)
+        if self.enforcement not in (ENFORCE_EGRESS, ENFORCE_INGRESS):
+            raise ConfigurationError(
+                "unknown enforcement point %r" % (self.enforcement,))
+        # Inert combinations: both armor knobs only ever act on acked
+        # registrations, and an edge only asks for acks under a retry
+        # policy; the TTL is read only by the sweep.
+        if (self.breaker or self.backpressure) and self.register_retry is None:
+            raise ConfigurationError(
+                "breaker / backpressure do nothing without register_retry")
+        if self.registration_ttl_s is not None \
+                and self.registration_sweep_s is None:
+            raise ConfigurationError(
+                "registration_ttl_s does nothing without registration_sweep_s")
+        return self
 
 
 def inject_burst(endpoint, dst_ip, size=1500, payload=None, count=1,
@@ -207,7 +221,6 @@ class FabricNetwork:
             seed=cfg.seed + 2,
             session_cache=cfg.session_cache,
             session_cache_ttl_s=cfg.session_cache_ttl_s,
-            cached_auth_service_s=cfg.cached_auth_service_s,
         )
         self.sxp = SxpSpeaker(self.sim, underlay=self.underlay,
                               rloc=self.policy_server.rloc,
@@ -225,9 +238,7 @@ class FabricNetwork:
             server = self.routing_servers[i % len(self.routing_servers)]
             border = BorderRouter(
                 self.sim, "border-%d" % i, rloc, self._spines[i],
-                self.underlay, server.rloc,
-                megaflow=cfg.megaflow,
-                megaflow_max_entries=cfg.megaflow_max_entries,
+                self.underlay, server.rloc, cfg,
             )
             self.borders.append(border)
 
@@ -248,28 +259,14 @@ class FabricNetwork:
                 )
             edge = EdgeRouter(
                 self.sim, "edge-%d" % i, rloc, self._leaves[i],
-                self.underlay,
+                self.underlay, cfg,
                 routing_server_rloc=self.routing_servers[
                     i % len(self.routing_servers)].rloc,
-                register_rlocs=[s.rloc for s in self.routing_servers],
                 policy_server_rloc=self.policy_server.rloc,
                 border_rloc=primary_border.rloc,
                 dhcp=self.dhcp,
-                enforcement=cfg.enforcement,
-                map_cache_ttl=cfg.map_cache_ttl,
-                negative_ttl=cfg.negative_ttl,
-                detection_delay_s=cfg.edge_detection_delay_s,
-                register_families=cfg.register_families,
-                batching=cfg.batching,
-                register_flush_s=cfg.register_flush_s,
-                megaflow=cfg.megaflow,
-                megaflow_max_entries=cfg.megaflow_max_entries,
-                register_retry=cfg.register_retry,
-                register_refresh_s=cfg.register_refresh_s,
+                register_rlocs=[s.rloc for s in self.routing_servers],
                 backup_border_rlocs=backup_rlocs,
-                backpressure=cfg.backpressure,
-                breaker=cfg.breaker,
-                serve_stale_s=cfg.serve_stale_s,
             )
             if cfg.l2_services:
                 L2Gateway(edge)
@@ -335,14 +332,10 @@ class FabricNetwork:
         passes :class:`repro.wireless.Station` so stations share the
         fabric's identity/MAC numbering and policy enrollment.
         """
-        if identity in self._endpoints:
-            raise ConfigurationError("duplicate endpoint identity %r" % identity)
-        group_obj = self.plan.group_by_name(group) if isinstance(group, str) else self.plan.group(group)
-        vn_id = vn if isinstance(vn, VNId) else VNId(vn)
-        self.policy_server.enroll(identity, secret, group_obj.group_id, vn_id)
-        self._mac_counter += 1
-        endpoint = factory(identity, MacAddress(self._mac_counter), secret=secret, sink=sink)
-        self._endpoints[identity] = endpoint
+        endpoint = factory(identity, MacAddress(self._mac_counter + 1),
+                           secret=secret, sink=sink)
+        self.adopt_endpoint(endpoint, group, vn)
+        self._mac_counter += 1   # only an enrolled endpoint uses up a MAC
         return endpoint
 
     def adopt_endpoint(self, endpoint, group, vn):

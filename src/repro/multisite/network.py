@@ -83,100 +83,42 @@ def split_prefix(prefix, count):
 
 
 class MultiSiteConfig:
-    """Knobs for a federated deployment (per-site shape + transit)."""
+    """Knobs for a federated deployment: site count + transit shape.
+
+    Everything about what one site looks like is a
+    :class:`~repro.fabric.network.FabricConfig` knob: keywords not
+    listed here are forwarded into the embedded ``site`` config (the
+    same for every site, apart from its seed and MAC block), so the two
+    classes cannot drift and an unknown keyword is a ``TypeError``.
+    """
 
     def __init__(self, num_sites=3, edges_per_site=4, borders_per_site=1,
-                 routing_servers_per_site=1, enforcement="egress",
-                 map_cache_ttl=1200.0, negative_ttl=15.0,
-                 link_delay_s=50e-6, transit_delay_s=2e-3,
+                 routing_servers_per_site=1, transit_delay_s=2e-3,
                  transit_bandwidth_bps=10e9, transit_jitter_s=20e-6,
-                 transit_pending_limit=16,
-                 register_families=("ipv4", "ipv6", "mac"), seed=42,
-                 megaflow=False, batching=False, register_flush_s=2e-3,
-                 session_cache=False, session_cache_ttl_s=600.0,
-                 register_retry=None, register_refresh_s=None,
-                 border_failover=False,
-                 registration_ttl_s=None, registration_sweep_s=None,
-                 transit_retry=None, away_refresh_s=None,
-                 away_anchor_ttl_s=None,
-                 server_max_pending=None, server_max_backlog_s=None,
-                 backpressure=False, breaker=None, serve_stale_s=None):
+                 transit_pending_limit=16, transit_retry=None,
+                 away_refresh_s=None, away_anchor_ttl_s=None, **site):
         if num_sites < 1:
             raise ConfigurationError("a multi-site fabric needs at least one site")
         self.num_sites = num_sites
-        self.edges_per_site = edges_per_site
-        self.borders_per_site = borders_per_site
-        self.routing_servers_per_site = routing_servers_per_site
-        self.enforcement = enforcement
-        self.map_cache_ttl = map_cache_ttl
-        self.negative_ttl = negative_ttl
-        self.link_delay_s = link_delay_s
         self.transit_delay_s = transit_delay_s
         self.transit_bandwidth_bps = transit_bandwidth_bps
         self.transit_jitter_s = transit_jitter_s
         self.transit_pending_limit = transit_pending_limit
-        self.register_families = tuple(register_families)
-        self.seed = seed
-        #: data-plane fast path (megaflow caches on every site's edges
-        #: and borders); default off like every fast-path knob
-        self.megaflow = megaflow
-        #: control-plane fast path knobs, replicated into every site
-        #: (batched registrations + RADIUS session resumption) — same
-        #: defaults-off contract as :class:`FabricConfig`
-        self.batching = batching
-        self.register_flush_s = register_flush_s
-        self.session_cache = session_cache
-        self.session_cache_ttl_s = session_cache_ttl_s
-        #: chaos-suite recovery knobs, replicated into every site (same
-        #: defaults-off contract as :class:`FabricConfig`) plus the
-        #: transit-side soft state: ``transit_retry`` re-resolves lost
-        #: transit Map-Requests, ``away_refresh_s`` makes foreign borders
-        #: re-announce roamed-in endpoints, ``away_anchor_ttl_s`` expires
-        #: home anchors the foreign site stopped refreshing.
-        self.register_retry = register_retry
-        self.register_refresh_s = register_refresh_s
-        self.border_failover = border_failover
-        self.registration_ttl_s = registration_ttl_s
-        self.registration_sweep_s = registration_sweep_s
+        #: transit-side soft state (chaos-suite recovery, default off):
+        #: ``transit_retry`` re-resolves lost transit Map-Requests,
+        #: ``away_refresh_s`` makes foreign borders re-announce
+        #: roamed-in endpoints, ``away_anchor_ttl_s`` expires home
+        #: anchors the foreign site stopped refreshing.
         self.transit_retry = transit_retry
         self.away_refresh_s = away_refresh_s
         self.away_anchor_ttl_s = away_anchor_ttl_s
-        #: overload-armor knobs, replicated into every site (same
-        #: defaults-off contract as :class:`FabricConfig`)
-        self.server_max_pending = server_max_pending
-        self.server_max_backlog_s = server_max_backlog_s
-        self.backpressure = backpressure
-        self.breaker = breaker
-        self.serve_stale_s = serve_stale_s
+        self.site = FabricConfig(
+            num_borders=borders_per_site, num_edges=edges_per_site,
+            num_routing_servers=routing_servers_per_site, **site)
 
     def site_config(self, index):
-        return FabricConfig(
-            num_borders=self.borders_per_site,
-            num_edges=self.edges_per_site,
-            num_routing_servers=self.routing_servers_per_site,
-            enforcement=self.enforcement,
-            map_cache_ttl=self.map_cache_ttl,
-            negative_ttl=self.negative_ttl,
-            link_delay_s=self.link_delay_s,
-            register_families=self.register_families,
-            seed=self.seed + 97 * index,
-            mac_block=index,
-            megaflow=self.megaflow,
-            batching=self.batching,
-            register_flush_s=self.register_flush_s,
-            session_cache=self.session_cache,
-            session_cache_ttl_s=self.session_cache_ttl_s,
-            register_retry=self.register_retry,
-            register_refresh_s=self.register_refresh_s,
-            border_failover=self.border_failover,
-            registration_ttl_s=self.registration_ttl_s,
-            registration_sweep_s=self.registration_sweep_s,
-            server_max_pending=self.server_max_pending,
-            server_max_backlog_s=self.server_max_backlog_s,
-            backpressure=self.backpressure,
-            breaker=self.breaker,
-            serve_stale_s=self.serve_stale_s,
-        )
+        return self.site._replace(seed=self.site.seed + 97 * index,
+                                  mac_block=index)
 
 
 class MultiSiteNetwork:
@@ -201,12 +143,12 @@ class MultiSiteNetwork:
         self._transit_access = list(access)
         self.transit_underlay = UnderlayNetwork(
             self.sim, transit_topology,
-            extra_delay_jitter_s=cfg.transit_jitter_s, seed=cfg.seed + 5,
+            extra_delay_jitter_s=cfg.transit_jitter_s, seed=cfg.site.seed + 5,
         )
         self.transit = TransitControlPlane(
             self.sim, self.transit_underlay,
             rloc=IPv4Address.parse(_TRANSIT_CP_RLOC), node=_cores[0],
-            seed=cfg.seed + 6,
+            seed=cfg.site.seed + 6,
         )
 
         #: site index -> the site's transit-facing border (border 0).
@@ -219,17 +161,13 @@ class MultiSiteNetwork:
             candidates = site.borders[:2] if len(site.borders) > 1 \
                 else site.borders[:1]
             for order, border in enumerate(candidates):
-                border.transit_retry = cfg.transit_retry
-                border.away_refresh_s = cfg.away_refresh_s
-                border.away_anchor_ttl_s = cfg.away_anchor_ttl_s
                 border.connect_transit(
                     self.transit_underlay,
                     IPv4Address(_TRANSIT_SITE_BASE + (index << 8) + order),
                     access[index],
                     self.transit.rloc,
+                    cfg,
                     site_register_rlocs=[s.rloc for s in site.routing_servers],
-                    pending_limit=cfg.transit_pending_limit,
-                    negative_ttl=cfg.negative_ttl,
                 )
             self.transit_borders.append(candidates[0])
             self.standby_borders.append(
@@ -380,13 +318,12 @@ class MultiSiteNetwork:
                 on_complete(endpoint, accepted)
         return wrapped
 
-    _completion = attach_completion
-
     def admit(self, endpoint, site, edge=0, on_complete=None):
         """Attach an endpoint to an edge of a site and run onboarding."""
         index = self.site_index(site)
-        self.sites[index].admit(endpoint, edge,
-                                on_complete=self._completion(index, on_complete))
+        self.sites[index].admit(
+            endpoint, edge,
+            on_complete=self.attach_completion(index, on_complete))
 
     def roam(self, endpoint, site, edge=0, on_complete=None):
         """Move an endpoint to (possibly) another site, keeping its IP."""
@@ -395,7 +332,7 @@ class MultiSiteNetwork:
         if old_index == index:
             self.sites[index].roam(
                 endpoint, edge,
-                on_complete=self._completion(index, on_complete))
+                on_complete=self.attach_completion(index, on_complete))
             return
         # Cross-site: the new site's registration cannot Map-Notify the
         # old site's edge (separate control planes), so the old site sees

@@ -90,14 +90,9 @@ def _wireless_fabric(obs, wireless, prefix):
     obs.tracer.register_device(wlc, name)
     obs.metrics.enroll(name, wlc.stats)
     wlc._cpu.wait_hist = obs.metrics.histogram(name + ".cpu_wait_s")
-    hist = obs.metrics.histogram(name + ".register_batch", COUNT_BOUNDS)
-    wlc.batch_flush_hist = hist
-    for batcher in wlc._batchers.values():
-        batcher.flush_hist = hist
-    obs.metrics.gauge(
-        name + ".batch_backlog",
-        lambda: sum(b.pending for b in wlc._batchers.values()),
-    )
+    wlc.pacer.observe_flushes(
+        obs.metrics.histogram(name + ".register_batch", COUNT_BOUNDS))
+    obs.metrics.gauge(name + ".batch_backlog", lambda: wlc.pacer.backlog)
     for ap in wireless.aps:
         obs.tracer.register_device(ap, prefix + ap.name)
         obs.metrics.enroll(prefix + ap.name, ap.counters)

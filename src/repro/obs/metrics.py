@@ -166,9 +166,10 @@ class MetricRegistry:
         Per routing server: bounded-queue depth/backlog/pressure, shed
         totals (and the per-priority-class split), the deepest backlog
         seen, and how many acks carried the in-band overloaded bit.
-        Per edge: the AIMD backpressure factor, stale map-cache serves,
-        and circuit-breaker opens/deferrals.  Per WLC: backpressure
-        factor and breaker deferrals.  All of these are plain attributes
+        Per registrar (edges, then WLCs — same gauges, read from the
+        shared :class:`~repro.lisp.registrar.RegisterPacer`): the AIMD
+        backpressure factor and circuit-breaker opens/deferrals; edges
+        add stale map-cache serves.  All of these are plain attributes
         (not ``Counters`` fields), so enrolling them leaves every ledger
         digest untouched.
         """
@@ -185,27 +186,22 @@ class MetricRegistry:
                        lambda q=queue: q.max_depth_seen)
             self.gauge(prefix + "overload_signals",
                        lambda s=server: s.overload_signals)
-        for index, edge in enumerate(edges):
-            prefix = "overload.edge%d." % index
-            self.gauge(prefix + "bp_factor", lambda e=edge: e._bp_factor)
-            self.gauge(prefix + "bp_overload_acks",
-                       lambda e=edge: e.bp_overload_acks)
-            self.gauge(prefix + "stale_served", lambda e=edge: e.stale_served)
-            self.gauge(prefix + "stale_hits",
-                       lambda e=edge: e.map_cache.stale_hits)
-            self.gauge(prefix + "breaker_deferrals",
-                       lambda e=edge: e.breaker_deferrals)
-            self.gauge(
-                prefix + "breaker_opens",
-                lambda e=edge: sum(b.opens for b in e._breakers.values()),
-            )
-        for index, wlc in enumerate(wlcs):
-            prefix = "overload.wlc%d." % index
-            self.gauge(prefix + "bp_factor", lambda w=wlc: w._bp_factor)
-            self.gauge(prefix + "bp_overload_acks",
-                       lambda w=wlc: w.bp_overload_acks)
-            self.gauge(prefix + "breaker_deferrals",
-                       lambda w=wlc: w.breaker_deferrals)
+        for kind, devices in (("edge", edges), ("wlc", wlcs)):
+            for index, device in enumerate(devices):
+                prefix = "overload.%s%d." % (kind, index)
+                pacer = device.pacer
+                self.gauge(prefix + "bp_factor", lambda p=pacer: p.factor)
+                self.gauge(prefix + "bp_overload_acks",
+                           lambda p=pacer: p.overload_acks)
+                self.gauge(prefix + "breaker_deferrals",
+                           lambda p=pacer: p.deferrals)
+                self.gauge(prefix + "breaker_opens",
+                           lambda p=pacer: p.breaker_opens)
+                if kind == "edge":
+                    self.gauge(prefix + "stale_served",
+                               lambda e=device: e.stale_served)
+                    self.gauge(prefix + "stale_hits",
+                               lambda e=device: e.map_cache.stale_hits)
 
     def auto_enroll(self):
         """Enroll every live tracked :class:`Counters` instance.

@@ -12,6 +12,7 @@ from repro.stats.summaries import (
     boxplot,
     cdf_points,
     percentile,
+    ledger_digest,
     relative_to_min,
     mean,
     TimeSeries,
@@ -23,6 +24,7 @@ __all__ = [
     "HandoverRecorder",
     "boxplot",
     "cdf_points",
+    "ledger_digest",
     "percentile",
     "relative_to_min",
     "mean",

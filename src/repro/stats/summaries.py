@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from repro.core.errors import ConfigurationError
+
+
+def ledger_digest(ledger):
+    """Stable hex digest of a counter ledger (the determinism lane's unit).
+
+    Canonical JSON with sorted keys, so the digest depends on the
+    ledger's content only — never on dict insertion order.
+    """
+    payload = json.dumps(ledger, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def mean(samples):

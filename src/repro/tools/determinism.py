@@ -17,10 +17,9 @@ Usage::
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 
+from repro.stats.summaries import ledger_digest
 from repro.workloads.chaos_campus import ChaosCampusWorkload
 from repro.workloads.overload_storm import (
     OverloadStormProfile,
@@ -36,11 +35,6 @@ from repro.workloads.wireless_campus import (
 )
 
 
-def _digest(payload):
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def wireless_campus_digest(duration_s=40.0, seed=17):
     """Digest of a short single-site wireless campus run."""
     workload = WirelessCampusWorkload(
@@ -52,7 +46,7 @@ def wireless_campus_digest(duration_s=40.0, seed=17):
         ),
         seed=seed,
     )
-    return _digest(workload.run(duration_s=duration_s))
+    return ledger_digest(workload.run(duration_s=duration_s))
 
 
 def distributed_wireless_digest(duration_s=30.0, seed=17):

@@ -10,6 +10,8 @@ wired verbs (``create_endpoint`` / ``admit`` / ``roam`` / ``depart``).
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from repro.core.errors import ConfigurationError
 from repro.net.addresses import IPv4Address
 from repro.wireless.ap import AIR_DELAY_S, UPLINK_DELAY_S, FabricAp
@@ -40,34 +42,31 @@ def _finish_root(span, on_complete):
     return _done
 
 
-class WirelessConfig:
-    """Knobs for the wireless overlay (paper-flavoured defaults)."""
+_WIRELESS_DEFAULTS = dict(
+    aps_per_edge=1,
+    wlc_service_s=150e-6,
+    air_delay_s=AIR_DELAY_S,
+    uplink_delay_s=UPLINK_DELAY_S,
+    register_families=("ipv4", "mac"),
+)
 
-    def __init__(self, aps_per_edge=1, wlc_service_s=150e-6,
-                 air_delay_s=AIR_DELAY_S, uplink_delay_s=UPLINK_DELAY_S,
-                 register_families=("ipv4", "mac"),
-                 batching=False, register_flush_s=2e-3,
-                 register_retry=None,
-                 backpressure=False, breaker=None):
-        if aps_per_edge < 1:
+
+class WirelessConfig(namedtuple("WirelessConfig", _WIRELESS_DEFAULTS,
+                                defaults=_WIRELESS_DEFAULTS.values())):
+    """Knobs for the wireless overlay (paper-flavoured defaults).
+
+    Only what is wireless: how the WLC batches, retries and protects its
+    registrations is the fabric's :class:`~repro.fabric.FabricConfig`,
+    which the WLC reads like every edge does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, **knobs):
+        self = super().__new__(cls, **knobs)
+        if self.aps_per_edge < 1:
             raise ConfigurationError("need at least one AP per edge")
-        self.aps_per_edge = aps_per_edge
-        self.wlc_service_s = wlc_service_s
-        self.air_delay_s = air_delay_s
-        self.uplink_delay_s = uplink_delay_s
-        self.register_families = tuple(register_families)
-        #: control-plane fast path: the WLC coalesces per-family
-        #: registers per routing server within this flush window
-        self.batching = batching
-        self.register_flush_s = register_flush_s
-        #: chaos-suite recovery: a RetryPolicy for unacked registrations
-        #: (None keeps the one-shot baseline)
-        self.register_retry = register_retry
-        #: overload armor (default off): ``backpressure`` reacts to the
-        #: in-band overloaded bit on register acks; ``breaker`` is a
-        #: :class:`repro.core.BreakerPolicy` guarding the retry path.
-        self.backpressure = backpressure
-        self.breaker = breaker
+        return self
 
 
 class WirelessFabric:
@@ -81,16 +80,11 @@ class WirelessFabric:
             net.sim, net.underlay,
             rloc=IPv4Address.parse(_RLOC_WLC),
             node=net.spine_nodes[-1],
+            config=net.config,
+            wireless_config=cfg,
             register_rlocs=[server.rloc for server in net.routing_servers],
             policy_server_rloc=net.policy_server.rloc,
             dhcp=net.dhcp,
-            service_s=cfg.wlc_service_s,
-            register_families=cfg.register_families,
-            batching=cfg.batching,
-            register_flush_s=cfg.register_flush_s,
-            register_retry=cfg.register_retry,
-            backpressure=cfg.backpressure,
-            breaker=cfg.breaker,
         )
         self.aps = []
         for edge in net.edges:

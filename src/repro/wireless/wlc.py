@@ -30,8 +30,6 @@ exactly the scaling property the fabric design buys.
 
 from __future__ import annotations
 
-from repro.core.batching import Batcher
-from repro.core.breaker import CircuitBreaker
 from repro.core.counters import Counters
 from repro.core.errors import ConfigurationError
 from repro.core.queueing import SerialQueue
@@ -43,6 +41,7 @@ from repro.lisp.messages import (
     control_packet,
     next_nonce,
 )
+from repro.lisp.registrar import RegisterPacer
 from repro.policy.server import AccessRequest, AccessResult
 from repro.sim.rng import SeededRng
 
@@ -78,33 +77,29 @@ class FabricWlc:
         Simulation kernel and the controller's attachment point.  The
         WLC is an underlay device like any server — but it never sees a
         station data packet.
+    config:
+        The fabric's :class:`~repro.fabric.FabricConfig`: ``batching`` /
+        ``register_flush_s``, ``register_retry``, ``backpressure`` and
+        ``breaker`` apply to the WLC exactly as to an edge.  The
+        registrar always asks for acks, but without ``register_retry`` a
+        lost Map-Register (or a crashed routing server) strands the
+        station's location until its next roam.
+    wireless_config:
+        The :class:`~repro.wireless.WirelessConfig`.  ``wlc_service_s``
+        is the control CPU time per association/disassociation event —
+        the single-queue model whose backlog a roam storm measures.
+        ``register_families`` selects the station EIDs to register;
+        every family's registration requests an ack (so the roam-chain
+        relay can refresh stale caches per family), and the IPv4 ack
+        doubles as the roam-completion sample.
     register_rlocs / policy_server_rloc / dhcp:
         The fabric control plane the WLC integrates with.  Registrations
         fan out to every routing server (mirroring edge behaviour with
         horizontally scaled control planes).
-    service_s:
-        Control CPU time per association/disassociation event — the
-        single-queue model whose backlog a roam storm measures.
-    register_families:
-        Which station EIDs the registrar registers.  Every family's
-        registration requests an ack (so the roam-chain relay can
-        refresh stale caches per family); the IPv4 ack doubles as the
-        roam-completion sample.
-    batching / register_flush_s:
-        The control-plane fast path: with ``batching`` on, per-family
-        registers (and in-band withdrawals) are coalesced per routing
-        server inside a ``register_flush_s`` flush window and sent as
-        one multi-record Map-Register, which the server applies
-        atomically and acks with one aggregated Map-Notify.  Off by
-        default so every experiment can ablate the knob.
     """
 
-    def __init__(self, sim, underlay, rloc, node, register_rlocs,
-                 policy_server_rloc, dhcp, service_s=150e-6,
-                 register_families=("ipv4", "mac"),
-                 batching=False, register_flush_s=2e-3,
-                 register_retry=None, seed=37,
-                 backpressure=False, breaker=None):
+    def __init__(self, sim, underlay, rloc, node, config, wireless_config,
+                 register_rlocs, policy_server_rloc, dhcp):
         self.sim = sim
         self.underlay = underlay
         self.rloc = rloc
@@ -113,32 +108,16 @@ class FabricWlc:
             raise ConfigurationError("WLC needs at least one routing server")
         self.policy_server_rloc = policy_server_rloc
         self.dhcp = dhcp
-        self.service_s = service_s
-        self.register_families = tuple(register_families)
-        self.batching = batching
-        self.register_flush_s = register_flush_s
-        #: chaos-suite knob (off by default): resend a registration whose
-        #: ack never came.  The registrar already asks for acks — without
-        #: the retry, a lost Map-Register (or a crashed routing server)
-        #: strands the station's location until its next roam.
-        self.register_retry = register_retry
-        #: overload armor (default off): widen the batch flush window
-        #: when the ack server signals overload in-band...
-        self.backpressure = backpressure
-        self._bp_factor = 1.0
-        self.bp_max_factor = 8.0
-        self.bp_overload_acks = 0
-        #: ...and gate registration resends behind a circuit breaker on
-        #: the ack server so the WLC never feeds a retry storm.
-        self.breaker_policy = breaker
-        self._ack_breaker = None
-        self.breaker_deferrals = 0
-        self._rng = SeededRng(seed).spawn("wlc")
-        self._batchers = {}       # server rloc -> Batcher of EidRecord
+        self.service_s = wireless_config.wlc_service_s
+        self.register_families = wireless_config.register_families
+        self.batching = config.batching
+        self.register_retry = config.register_retry
+        self._rng = SeededRng(37).spawn("wlc")
+        #: batch windows + overload armor; only ``register_rlocs[0]``
+        #: acks, so only it widens windows or trips a breaker
+        self.pacer = RegisterPacer(sim, config, self._rng,
+                                   self._flush_registers)
         self._batch_nonce = {}    # server rloc -> nonce of the open batch
-        #: observability hook: Histogram wired onto every Batcher this
-        #: WLC creates (None = off; see repro.obs.instrument)
-        self.batch_flush_hist = None
         self.stats = FabricWlcStats()
         #: registration-completion delay samples (radio association to
         #: the routing server's ack), for the roam-storm benches
@@ -289,41 +268,42 @@ class FabricWlc:
                 station, edge_rloc, mobility, stale, t0, reg_span
             )
             return
-        for eid in self._station_eids(station):
+        for eid in station.eids(self.register_families):
             # Every family gets an acked registration so the roam-chain
             # relay refreshes stale edges' caches for *all* of the
             # station's EIDs; only the IPv4 ack is the completion sample.
-            ack = True
-            for server_rloc in self.register_rlocs:
-                register = MapRegister(
-                    station.vn, eid, edge_rloc, station.group,
-                    mac=station.mac if eid.family != "mac" else None,
-                    mobility=mobility,
-                    registrar_rloc=self.rloc if ack else None,
-                )
-                register.trace_ctx = reg_span.ctx
-                if ack:
-                    # The register's nonce identifies this registration
-                    # instance; the server echoes it in the ack, so a
-                    # delayed ack from an older registration at the
-                    # *same* edge (an A->B->A bounce under backlog)
-                    # cannot complete the newer one.
-                    key = (int(station.vn), eid)
-                    self._pending_register[key] = (
-                        station, stale, t0, eid.family == "ipv4",
-                        register.nonce, reg_span,
-                    )
-                    self._arm_register_retry(key, register.nonce, 0)
-                self.stats.registers_sent += 1
-                self._send(server_rloc, register)
-                ack = False  # one ack per EID is enough
+            self._register_eid(station, station.vn, eid, edge_rloc, mobility,
+                               stale, t0, reg_span, attempt=0)
+
+    def _register_eid(self, station, vn, eid, edge_rloc, mobility, stale, t0,
+                      reg_span, attempt):
+        """Map-Register one EID at every server; the first one acks."""
+        registrar = self.rloc
+        for server_rloc in self.register_rlocs:
+            register = MapRegister(
+                vn, eid, edge_rloc, station.group,
+                mac=station.mac if eid.family != "mac" else None,
+                mobility=mobility, registrar_rloc=registrar,
+            )
+            register.trace_ctx = reg_span.ctx
+            if registrar is not None:
+                # The register's nonce identifies this registration
+                # instance; the server echoes it in the ack, so a
+                # delayed ack from an older registration at the
+                # *same* edge (an A->B->A bounce under backlog)
+                # cannot complete the newer one.
+                self._pin_register(station, vn, eid, stale, t0,
+                                   register.nonce, reg_span, attempt)
+            self.stats.registers_sent += 1
+            self._send(server_rloc, register)
+            registrar = None  # one ack per EID is enough
 
     # ------------------------------------------------------------------ batched fast path
     def _register_station_batched(self, station, edge_rloc, mobility,
                                   stale, t0, reg_span):
         ack_server = self.register_rlocs[0]
         for server_rloc in self.register_rlocs:
-            for eid in self._station_eids(station):
+            for eid in station.eids(self.register_families):
                 record = EidRecord(
                     station.vn, eid, edge_rloc, group=station.group,
                     mac=station.mac if eid.family != "mac" else None,
@@ -337,12 +317,8 @@ class FabricWlc:
                     # per-message one.  (The flushed batch message mixes
                     # stations, so it carries no single trace context;
                     # the per-station reg_span still closes on its ack.)
-                    key = (int(station.vn), eid)
-                    self._pending_register[key] = (
-                        station, stale, t0, eid.family == "ipv4", nonce,
-                        reg_span,
-                    )
-                    self._arm_register_retry(key, nonce, 0)
+                    self._pin_register(station, station.vn, eid, stale, t0,
+                                       nonce, reg_span, attempt=0)
 
     def _submit_record(self, server_rloc, record):
         """Queue a record on a server's open batch; returns its nonce.
@@ -351,16 +327,7 @@ class FabricWlc:
         bookkeeping can reference it before the flush builds the actual
         message.
         """
-        batcher = self._batchers.get(server_rloc)
-        if batcher is None:
-            batcher = Batcher(
-                self.sim,
-                lambda records, rloc=server_rloc:
-                    self._flush_registers(rloc, records),
-                window_s=self.register_flush_s * self._bp_factor,
-            )
-            batcher.flush_hist = self.batch_flush_hist
-            self._batchers[server_rloc] = batcher
+        batcher = self.pacer.batcher(server_rloc)
         if batcher.pending == 0:
             self._batch_nonce[server_rloc] = next_nonce()
         # Capture before submit(): a synchronous flush (max_items, or
@@ -386,18 +353,21 @@ class FabricWlc:
         self._send(server_rloc, register)
 
     # ------------------------------------------------------------------ registration retry
-    def _arm_register_retry(self, key, nonce, attempt):
-        """Chaos-suite resend timer for one pinned registration instance."""
-        if self.register_retry is None:
-            return
-        self.sim.schedule(self.register_retry.delay_s(attempt, self._rng),
-                          self._check_register_ack, key, nonce, attempt)
+    def _pin_register(self, station, vn, eid, stale, t0, nonce, reg_span,
+                      attempt):
+        """Pin ``(vn, eid)`` to one registration instance; arm its resend."""
+        key = (int(vn), eid)
+        self._pending_register[key] = (
+            station, stale, t0, eid.family == "ipv4", nonce, reg_span)
+        if self.register_retry is not None:   # chaos-suite resend timer
+            self.sim.schedule(self.register_retry.delay_s(attempt, self._rng),
+                              self._check_register_ack, key, nonce, attempt)
 
     def _check_register_ack(self, key, nonce, attempt):
         pending = self._pending_register.get(key)
         if pending is None or pending[4] != nonce:
             return  # acked, withdrawn, or superseded by a newer roam
-        station, stale, t0, is_completion, _nonce, reg_span = pending
+        station, stale, t0, _is_completion, _nonce, reg_span = pending
         # Re-register from *current* truth, not the original snapshot:
         # the station may have roamed while the ack was outstanding.
         edge = self._registered_edge.get(station.identity)
@@ -409,59 +379,13 @@ class FabricWlc:
             self.stats.register_retry_exhausted += 1
             reg_span.finish(outcome="retry_exhausted")
             return
-        if self.breaker_policy is not None:
-            breaker = self._breaker()
-            breaker.record_failure()
-            if not breaker.allow():
-                # Breaker open: hold the registration (pending entry and
-                # nonce stay pinned) and probe when it half-opens; the
-                # attempt is not burned.
-                self.breaker_deferrals += 1
-                self.sim.schedule(
-                    max(breaker.remaining_s, self.register_retry.base_s),
-                    self._check_register_ack, key, nonce, attempt,
-                )
-                return
+        if self.pacer.deferred(self.register_rlocs[0],
+                               self._check_register_ack, key, nonce, attempt):
+            return  # breaker open: the pending entry and nonce stay pinned
         self.stats.register_retries_sent += 1
         vn, eid = key
-        ack = True
-        for server_rloc in self.register_rlocs:
-            register = MapRegister(
-                vn, eid, edge.rloc, station.group,
-                mac=station.mac if eid.family != "mac" else None,
-                mobility=False,
-                registrar_rloc=self.rloc if ack else None,
-            )
-            register.trace_ctx = reg_span.ctx
-            if ack:
-                self._pending_register[key] = (
-                    station, stale, t0, is_completion, register.nonce,
-                    reg_span,
-                )
-                self._arm_register_retry(key, register.nonce, attempt + 1)
-            self.stats.registers_sent += 1
-            self._send(server_rloc, register)
-            ack = False
-
-    def _breaker(self):
-        """The circuit breaker guarding the ack server's retry path."""
-        if self._ack_breaker is None:
-            self._ack_breaker = CircuitBreaker(self.sim, self.breaker_policy,
-                                               rng=self._rng)
-        return self._ack_breaker
-
-    def _note_backpressure(self, overloaded):
-        """Mirror of the edge's AIMD reaction to the overloaded bit."""
-        factor = self._bp_factor
-        if overloaded:
-            self.bp_overload_acks += 1
-            factor = min(self.bp_max_factor, factor * 2.0)
-        else:
-            factor = max(1.0, factor * 0.5)
-        if factor != self._bp_factor:
-            self._bp_factor = factor
-            for batcher in self._batchers.values():
-                batcher.window_s = self.register_flush_s * factor
+        self._register_eid(station, vn, eid, edge.rloc, False, stale, t0,
+                           reg_span, attempt + 1)
 
     def _on_register_ack(self, notify):
         """Routing server committed proxied registration(s).
@@ -470,11 +394,8 @@ class FabricWlc:
         batch ack; stale-edge relays are re-aggregated per edge so a
         batch of N roams costs each stale edge one message, not N.
         """
-        if self.breaker_policy is not None:
-            # Any ack proves the ack server is answering again.
-            self._breaker().record_success()
-        if self.backpressure:
-            self._note_backpressure(notify.overloaded)
+        # Any ack proves the ack server is answering again.
+        self.pacer.on_ack(self.register_rlocs[0], notify.overloaded)
         relays = {}        # stale rloc -> [record copies]
         completions = []   # (station, delay) in ack order
         for record in notify.mapping_records:
@@ -583,7 +504,7 @@ class FabricWlc:
             station=station.identity, reason=reason,
         )
         edge.remove_wireless_endpoint(station)
-        for eid in self._station_eids(station):
+        for eid in station.eids(self.register_families):
             self._pending_register.pop((int(station.vn), eid), None)
             for server_rloc in self.register_rlocs:
                 self.stats.unregisters_sent += 1
@@ -606,16 +527,6 @@ class FabricWlc:
         # no negative notify).  The set is bounded by the edge count.
 
     # ------------------------------------------------------------------ transport
-    def _station_eids(self, station):
-        eids = []
-        if "ipv4" in self.register_families and station.ip is not None:
-            eids.append(station.ip.to_prefix())
-        if "ipv6" in self.register_families and station.ipv6 is not None:
-            eids.append(station.ipv6.to_prefix())
-        if "mac" in self.register_families and station.mac is not None:
-            eids.append(station.mac.to_prefix())
-        return eids
-
     def _on_packet(self, packet):
         message = packet.payload
         kind = getattr(message, "kind", None)

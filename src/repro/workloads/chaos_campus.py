@@ -23,14 +23,12 @@ What the run yields:
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from repro.chaos import ChaosEngine, ChaosFault, ChaosSchedule, ProbeMonitor, stale_mappings
 from repro.core.errors import ConfigurationError
 from repro.core.retry import RetryPolicy
 from repro.fabric.network import FabricConfig, FabricNetwork
 from repro.sim.rng import SeededRng
+from repro.stats.summaries import ledger_digest
 from repro.wireless.deployment import WirelessConfig, WirelessFabric
 
 
@@ -102,10 +100,8 @@ class ChaosCampusWorkload:
             registration_ttl_s=profile.registration_ttl_s,
             registration_sweep_s=profile.registration_sweep_s,
         ))
-        self.wireless = WirelessFabric(self.fabric, WirelessConfig(
-            aps_per_edge=profile.aps_per_edge,
-            register_retry=profile.register_retry,
-        ))
+        self.wireless = WirelessFabric(
+            self.fabric, WirelessConfig(aps_per_edge=profile.aps_per_edge))
         self._build_population()
         self.schedule = schedule or self.default_schedule()
         self.monitor = ProbeMonitor(
@@ -290,5 +286,4 @@ class ChaosCampusWorkload:
 
     def digest(self):
         """Stable hex digest of the counter ledger (determinism lane)."""
-        payload = json.dumps(self.counter_ledger(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return ledger_digest(self.counter_ledger())

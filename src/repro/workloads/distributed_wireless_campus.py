@@ -23,13 +23,10 @@ Two usage modes mirror :mod:`repro.workloads.wireless_campus`:
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from repro.core.errors import ConfigurationError
 from repro.multisite.network import MultiSiteConfig, MultiSiteNetwork
 from repro.sim.rng import SeededRng
-from repro.stats.summaries import boxplot
+from repro.stats.summaries import boxplot, ledger_digest
 from repro.wireless.deployment import MultiSiteWireless, WirelessConfig
 from repro.workloads.traffic import FlowGenerator, PopularityModel
 
@@ -113,8 +110,6 @@ class DistributedWirelessCampusWorkload:
         self.wireless = MultiSiteWireless(self.net, WirelessConfig(
             aps_per_edge=profile.aps_per_edge,
             wlc_service_s=profile.wlc_service_s,
-            batching=profile.batching,
-            register_flush_s=profile.register_flush_s,
         ))
         self._build_population()
         self._walking = False
@@ -400,5 +395,4 @@ class DistributedWirelessCampusWorkload:
 
     def digest(self):
         """Stable hex digest of the counter ledger (determinism lane)."""
-        payload = json.dumps(self.counter_ledger(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return ledger_digest(self.counter_ledger())

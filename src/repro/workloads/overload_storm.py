@@ -26,9 +26,6 @@ healing oracle must come back clean after the storm is relieved
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from repro.chaos import ChaosEngine, ChaosFault, ChaosSchedule, stale_mappings
 from repro.core.breaker import BreakerPolicy
 from repro.core.retry import RetryPolicy
@@ -36,6 +33,7 @@ from repro.fabric.network import FabricConfig, FabricNetwork
 from repro.lisp.messages import MapRequest, control_packet
 from repro.net.addresses import IPv4Address
 from repro.sim.rng import SeededRng
+from repro.stats.summaries import ledger_digest
 
 #: The prober's underlay address (outside every device numbering block).
 _RLOC_PROBER = "192.168.255.40"
@@ -312,13 +310,12 @@ class OverloadStormWorkload:
             "max_depth_seen": server.queue.max_depth_seen,
             "max_backlog_seen_s": round(server.queue.max_delay_s, 9),
             "overload_signals": server.overload_signals,
-            "bp_overload_acks": sum(e.bp_overload_acks for e in edges),
-            "max_bp_factor": max(e._bp_factor for e in edges),
+            "bp_overload_acks": sum(e.pacer.overload_acks for e in edges),
+            "max_bp_factor": max(e.pacer.factor for e in edges),
             "stale_served": sum(e.stale_served for e in edges),
             "stale_hits": sum(e.map_cache.stale_hits for e in edges),
-            "breaker_deferrals": sum(e.breaker_deferrals for e in edges),
-            "breaker_opens": sum(
-                b.opens for e in edges for b in e._breakers.values()),
+            "breaker_deferrals": sum(e.pacer.deferrals for e in edges),
+            "breaker_opens": sum(e.pacer.breaker_opens for e in edges),
         }
         return summary
 
@@ -335,10 +332,10 @@ class OverloadStormWorkload:
         for edge in fabric.edges:
             for key, value in edge.counters.as_dict().items():
                 ledger["%s.%s" % (edge.name, key)] = value
-            ledger["%s.bp_overload_acks" % edge.name] = edge.bp_overload_acks
+            ledger["%s.bp_overload_acks" % edge.name] = edge.pacer.overload_acks
             ledger["%s.stale_served" % edge.name] = edge.stale_served
             ledger["%s.stale_hits" % edge.name] = edge.map_cache.stale_hits
-            ledger["%s.breaker_deferrals" % edge.name] = edge.breaker_deferrals
+            ledger["%s.breaker_deferrals" % edge.name] = edge.pacer.deferrals
         for border in fabric.borders:
             for key, value in border.counters.as_dict().items():
                 ledger["%s.%s" % (border.name, key)] = value
@@ -363,5 +360,4 @@ class OverloadStormWorkload:
 
     def digest(self):
         """Stable hex digest of the counter ledger (determinism lane)."""
-        payload = json.dumps(self.counter_ledger(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return ledger_digest(self.counter_ledger())

@@ -91,8 +91,6 @@ class WirelessCampusWorkload:
         self.wireless = WirelessFabric(self.fabric, WirelessConfig(
             aps_per_edge=profile.aps_per_edge,
             wlc_service_s=profile.wlc_service_s,
-            batching=profile.batching,
-            register_flush_s=profile.register_flush_s,
         ))
         self._build_population()
         self._walking = False

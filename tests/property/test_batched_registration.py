@@ -48,10 +48,7 @@ def _build(fastpath):
         batching=fastpath, register_flush_s=2e-3,
         session_cache=fastpath,
     ))
-    wireless = WirelessFabric(net, WirelessConfig(
-        aps_per_edge=APS_PER_EDGE,
-        batching=fastpath, register_flush_s=2e-3,
-    ))
+    wireless = WirelessFabric(net, WirelessConfig(aps_per_edge=APS_PER_EDGE))
     net.define_vn("wifi", VN, "10.0.0.0/16")
     net.define_group("stations", 1, VN)
     net.allow("stations", "stations")

@@ -24,9 +24,7 @@ def wireless_net():
         register_retry=RETRY, register_refresh_s=1.0,
         border_failover=True,
     ))
-    wireless = WirelessFabric(net, WirelessConfig(
-        aps_per_edge=1, register_retry=RETRY,
-    ))
+    wireless = WirelessFabric(net, WirelessConfig(aps_per_edge=1))
     net.define_vn("wifi", 200, "10.12.0.0/16")
     net.define_group("stations", 1, 200)
     net.define_group("servers", 2, 200)

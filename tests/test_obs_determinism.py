@@ -15,6 +15,7 @@ Two promises from the observability PR are locked in here:
 """
 
 from repro import obs
+from repro.stats import ledger_digest
 from repro.tools import check_trace
 from repro.tools.determinism import (
     distributed_wireless_digest,
@@ -65,9 +66,7 @@ def test_wireless_campus_digest_identical_with_obs_fully_on():
     )
     bundle = obs.enable(workload, tracing=True, metrics=True,
                         sample_interval_s=0.5)
-    from repro.tools.determinism import _digest
-
-    instrumented = _digest(workload.run(duration_s=12.0))
+    instrumented = ledger_digest(workload.run(duration_s=12.0))
     assert instrumented == baseline
     # The run actually produced telemetry — this test must not pass
     # because instrumentation silently failed to attach.

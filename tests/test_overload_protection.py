@@ -8,9 +8,17 @@ from repro.core.breaker import BreakerPolicy
 from repro.core.queueing import PRIO_BULK, PRIO_CRITICAL, PRIO_NORMAL
 from repro.core.retry import RetryPolicy
 from repro.fabric import FabricConfig, FabricNetwork
-from repro.lisp import EidRecord, MapRegister, MapRequest, RoutingServer
+from repro.lisp import (
+    EidRecord,
+    MapNotify,
+    MapRegister,
+    MapRequest,
+    RoutingServer,
+    control_packet,
+)
 from repro.net.addresses import IPv4Address, Prefix
 from repro.obs.metrics import MetricRegistry
+from repro.wireless import WirelessFabric
 
 RETRY = RetryPolicy(base_s=0.05, multiplier=2.0, max_delay_s=0.4,
                     max_attempts=8)
@@ -31,10 +39,10 @@ def test_default_fabric_carries_no_armor():
     assert not net.routing_server.queue.bounded
     assert net.routing_server.queue.pressure == 0.0
     for edge in net.edges:
-        assert edge.breaker_policy is None
+        assert edge.pacer.breaker_policy is None
         assert edge.map_cache.serve_stale_s is None
-        assert edge._bp_factor == 1.0
-        assert not edge.backpressure
+        assert edge.pacer.factor == 1.0
+        assert not edge.pacer.backpressure
 
 
 # ------------------------------------------------------------------ classification
@@ -107,32 +115,34 @@ def test_edge_backpressure_factor_is_aimd():
     net = FabricNetwork(FabricConfig(
         num_edges=2, batching=True, register_retry=RETRY, backpressure=True,
     ))
-    edge = net.edges[0]
-    assert edge._bp_factor == 1.0
-    edge._note_backpressure(True)
-    assert edge._bp_factor == 2.0
-    edge._note_backpressure(True)
-    assert edge._bp_factor == 4.0
-    for batcher in edge._register_batchers.values():
-        assert batcher.window_s == edge.register_flush_s * 4.0
-    edge._note_backpressure(False)
-    assert edge._bp_factor == 2.0
-    edge._note_backpressure(False)
-    edge._note_backpressure(False)
-    assert edge._bp_factor == 1.0          # floor, never below
-    assert edge.bp_overload_acks == 2
-    for batcher in edge._register_batchers.values():
-        assert batcher.window_s == edge.register_flush_s
+    pacer = net.edges[0].pacer
+    server = net.routing_server.rloc
+    pacer.batcher(server)                  # an open window to watch
+    assert pacer.factor == 1.0
+    pacer.on_ack(server, True)
+    assert pacer.factor == 2.0
+    pacer.on_ack(server, True)
+    assert pacer.factor == 4.0
+    for batcher in pacer.batchers.values():
+        assert batcher.window_s == net.config.register_flush_s * 4.0
+    pacer.on_ack(server, False)
+    assert pacer.factor == 2.0
+    pacer.on_ack(server, False)
+    pacer.on_ack(server, False)
+    assert pacer.factor == 1.0             # floor, never below
+    assert pacer.overload_acks == 2
+    for batcher in pacer.batchers.values():
+        assert batcher.window_s == net.config.register_flush_s
 
 
 def test_backpressure_factor_caps_at_max():
     net = FabricNetwork(FabricConfig(
         num_edges=2, register_retry=RETRY, backpressure=True,
     ))
-    edge = net.edges[0]
+    pacer = net.edges[0].pacer
     for _ in range(10):
-        edge._note_backpressure(True)
-    assert edge._bp_factor == edge.bp_max_factor == 8.0
+        pacer.on_ack(net.routing_server.rloc, True)
+    assert pacer.factor == pacer.MAX_FACTOR == 8.0
 
 
 # ------------------------------------------------------------------ serve-stale
@@ -214,9 +224,8 @@ def test_breaker_defers_register_retries_to_a_dead_server():
     net.roam(ep, 1)
     net.run_for(3.0)
     dest = net.edges[1]
-    assert sum(b.opens for b in dest._breakers.values()) >= 1 \
-        or sum(b.opens for b in edge._breakers.values()) >= 1
-    deferrals = dest.breaker_deferrals + edge.breaker_deferrals
+    assert dest.pacer.breaker_opens + edge.pacer.breaker_opens >= 1
+    deferrals = dest.pacer.deferrals + edge.pacer.deferrals
     assert deferrals >= 1
     # Recovery: restart, let the half-open probe land, oracle clean.
     net.restart_routing_server(0)
@@ -267,8 +276,8 @@ def test_overload_verbs_and_oracle_feed_check():
 # ------------------------------------------------------------------ observability
 def test_enroll_overload_gauges():
     net = FabricNetwork(FabricConfig(
-        num_edges=2, server_max_pending=16, backpressure=True,
-        breaker=BREAKER, serve_stale_s=2.0,
+        num_edges=2, server_max_pending=16, register_retry=RETRY,
+        backpressure=True, breaker=BREAKER, serve_stale_s=2.0,
     ))
     registry = MetricRegistry(net.sim)
     registry.enroll_overload(net.routing_servers, edges=net.edges)
@@ -286,3 +295,73 @@ def test_enroll_overload_gauges():
     assert live["overload.server0.max_depth_seen"] == 16
     net.relieve_server(0)
     net.settle()
+
+
+# ------------------------------------------------------------------ WLC armor
+def _armored_wireless():
+    """The fabric's armor knobs, set once, must reach the WLC too."""
+    net = FabricNetwork(FabricConfig(
+        num_edges=2, batching=True, register_retry=RETRY,
+        backpressure=True, breaker=BREAKER,
+    ))
+    wireless = WirelessFabric(net)
+    net.define_vn("wifi", 100, "10.32.0.0/16")
+    net.define_group("stations", 1, 100)
+    station = wireless.create_station("sta", "stations", 100)
+    return net, wireless, station
+
+
+def _ack_wlc(net, wlc, overloaded):
+    """A registrar ack from the routing server, overloaded bit as given."""
+    server = net.routing_server.rloc
+    record = EidRecord(100, _eid("10.32.9.9/32"), _rloc())
+    ack = MapNotify(record.vn, record.eid, record)
+    ack.overloaded = overloaded
+    net.underlay.send(server, wlc.rloc, control_packet(server, wlc.rloc, ack))
+    net.settle()
+
+
+def test_wlc_batch_window_follows_the_overloaded_bit():
+    net, wireless, station = _armored_wireless()
+    wlc = wireless.wlc
+    wireless.associate(station, 0)
+    net.settle()
+    flush_s = net.config.register_flush_s
+    windows = [b.window_s for b in wlc.pacer.batchers.values()]
+    assert windows == [flush_s]
+    _ack_wlc(net, wlc, overloaded=True)
+    assert wlc.pacer.factor == 2.0
+    assert wlc.pacer.overload_acks == 1
+    assert [b.window_s for b in wlc.pacer.batchers.values()] == [flush_s * 2.0]
+    _ack_wlc(net, wlc, overloaded=False)
+    assert wlc.pacer.factor == 1.0
+    assert [b.window_s for b in wlc.pacer.batchers.values()] == [flush_s]
+
+
+def test_wlc_breaker_defers_resends_to_a_dead_server_then_completes():
+    net, wireless, station = _armored_wireless()
+    wlc = wireless.wlc
+    net.crash_routing_server(0)
+    wireless.associate(station, 0)
+    net.run_for(3.0)
+    # Resends time out, the breaker opens, later timeouts are held back
+    # instead of being sent into the dead server.
+    assert wlc.pacer.breaker_opens >= 1
+    assert wlc.pacer.deferrals > 0
+    assert wlc.stats.registrar_acks_received == 0
+    net.restart_routing_server(0)
+    net.run_for(3.0)
+    net.settle()
+    # The half-open probe landed: the registration completed.
+    assert wlc.stats.registrar_acks_received >= 1
+    assert len(wlc.registration_delays) == 1
+    record = net.routing_server.database.lookup(100, station.ip.to_prefix())
+    assert record is not None and record.rloc == net.edges[0].rloc
+    assert stale_mappings(net) == []
+    # Both registrars show up in the overload gauges, breaker included.
+    registry = MetricRegistry(net.sim)
+    registry.enroll_overload(net.routing_servers, edges=net.edges,
+                             wlcs=[wlc])
+    gauges = registry.snapshot()["gauges"]
+    assert gauges["overload.wlc0.breaker_opens"] == wlc.pacer.breaker_opens
+    assert gauges["overload.wlc0.breaker_deferrals"] == wlc.pacer.deferrals
