@@ -39,16 +39,20 @@ from repro.lisp.messages import (
     control_packet,
 )
 from repro.lisp.records import MappingDatabase
-from repro.net.fastpath import ACT_ENCAP, MegaflowCache, MegaflowEntry
+from repro.net.fastpath import (
+    ACT_ENCAP,
+    ACT_TRANSIT,
+    MegaflowCache,
+    MegaflowEntry,
+)
 from repro.sim.rng import SeededRng
-from repro.net.packet import UdpHeader
 from repro.net.trie import PatriciaTrie
 from repro.net.vxlan import (
-    VXLAN_PORT,
     EncapTemplate,
     decapsulate,
     encapsulate,
     flow_entropy_port,
+    is_vxlan,
 )
 from repro.policy.acl import GroupAcl
 
@@ -110,8 +114,10 @@ class BorderRouter:
         self.acl = GroupAcl()
         self.counters = BorderRouterCounters()
         #: data-plane fast path: memoized relay decisions (synced-FIB
-        #: resolution + encap template) keyed (VN, src group, dst EID);
-        #: flushed on every pub/sub route change.  Off by default.
+        #: resolution, for the transit leg also the away table or the
+        #: transit cache, + encap template) keyed (VN, src group, dst
+        #: EID); a publish or away change costs only its own EID's
+        #: entries (see :mod:`repro.net.fastpath`).  Off by default.
         self.megaflow = MegaflowCache() if config.megaflow else None
         # -- transit side (populated by connect_transit) --
         self.transit = None           # transit UnderlayNetwork
@@ -327,6 +333,7 @@ class BorderRouter:
                 continue
             vn, eid = key
             self._away[key] = away_rloc
+            self._mf_invalidate(eid)
             if initiated_at is not None:
                 self._away_initiated[key] = initiated_at
             self._away_meta[key] = (group, mac)
@@ -336,7 +343,6 @@ class BorderRouter:
                 register = MapRegister(vn, eid, self.rloc, group, mac=mac,
                                        mobility=True)
                 self._send_site(server_rloc, register)
-        self._mf_flush()
 
     def adopt_transit_rloc(self, rloc):
         """VRRP-style takeover: answer for a failed peer's transit address.
@@ -393,7 +399,7 @@ class BorderRouter:
         self._away_initiated.pop(key, None)
         self._away_refreshed_at.pop(key, None)
         self._away_meta.pop(key, None)
-        self._mf_flush()
+        self._mf_invalidate(eid)
         for server_rloc in self._site_register_rlocs:
             # RLOC-guarded: a fresh local re-registration is never torn
             # down by the sweep.
@@ -420,15 +426,20 @@ class BorderRouter:
     def _on_packet(self, packet):
         if self.failed:
             return  # in flight when the process died
-        udp = packet.find(UdpHeader)
-        if udp is not None and udp.dst_port == VXLAN_PORT:
+        if is_vxlan(packet):
             self._handle_data(packet)
         else:
             self._handle_control(packet.payload)
 
+    # Which event invalidates what, and why that is enough, is the
+    # table in :mod:`repro.net.fastpath`.
     def _mf_flush(self):
         if self.megaflow is not None:
             self.megaflow.flush()
+
+    def _mf_invalidate(self, eid):
+        if self.megaflow is not None:
+            self.megaflow.invalidate(eid)
 
     def _mf_relay(self, entry, packet, inner):
         """Replay a cached relay decision (decap already done)."""
@@ -437,18 +448,42 @@ class BorderRouter:
             self.counters.ttl_drops += train
             return
         inner.ttl -= 1
-        self.counters.relayed_to_edge += train
         entry.template.apply(packet)
-        self.underlay.send(self.rloc, entry.rloc, packet)
+        if entry.action == ACT_ENCAP:
+            self.counters.relayed_to_edge += train
+            self.underlay.send(self.rloc, entry.rloc, packet)
+        else:
+            self.counters.transit_reencapsulated += train
+            self.transit.send(self.transit_rloc, entry.rloc, packet)
 
-    def _mf_install_relay(self, key, vn, src_group, inner, rloc):
+    def _mf_install(self, key, action, outer_src, rloc, vn, src_group, inner,
+                    expires_at=None):
+        """Memoize a relay decision: ACT_ENCAP leaves on the site leg,
+        ACT_TRANSIT on the transit leg."""
         self.megaflow.install(key, MegaflowEntry(
-            ACT_ENCAP, rloc=rloc,
+            action, rloc=rloc,
             template=EncapTemplate(
-                self.rloc, rloc, vn, src_group,
+                outer_src, rloc, vn, src_group,
                 src_port=flow_entropy_port(inner.src, inner.dst),
             ),
+            expires_at=expires_at, dst=inner.dst,
         ))
+
+    def _site_send(self, edge_rloc, vn, group, packet, inner, key=None):
+        """Relay into the site towards the serving edge.
+
+        ``key`` memoizes the decision under that megaflow key.
+        """
+        if inner.ttl <= 1:
+            self.counters.ttl_drops += packet.train
+            return
+        inner.ttl -= 1
+        self.counters.relayed_to_edge += packet.train
+        if key is not None:
+            self._mf_install(key, ACT_ENCAP, self.rloc, edge_rloc, vn, group,
+                             inner)
+        encapsulate(packet, self.rloc, edge_rloc, vn, group)
+        self.underlay.send(self.rloc, edge_rloc, packet)
 
     def _handle_data(self, packet):
         self.counters.packets_in += packet.train
@@ -468,21 +503,13 @@ class BorderRouter:
                 return
         record = self.synced.lookup(vn, dst)
         if record is not None and record.rloc != self.rloc:
-            if inner.ttl <= 1:
-                self.counters.ttl_drops += packet.train
-                return
-            inner.ttl -= 1
-            self.counters.relayed_to_edge += packet.train
-            if key is not None:
-                self._mf_install_relay(key, vn, src_group, inner, record.rloc)
-            encapsulate(packet, self.rloc, record.rloc, vn, src_group)
-            self.underlay.send(self.rloc, record.rloc, packet)
+            self._site_send(record.rloc, vn, src_group, packet, inner, key)
             return
         if record is not None and record.rloc == self.rloc and self.transit is not None:
             # A record pointing at ourselves is either a delegated
             # aggregate (destination lives in another site) or an away
             # anchor (our endpoint roamed out) — both exit via the transit.
-            self._transit_forward(vn, src_group, packet, inner)
+            self._transit_forward(vn, src_group, packet, inner, key)
             return
         label = self.external_route_for(vn, dst)
         if label is not None:
@@ -511,16 +538,17 @@ class BorderRouter:
         return True
 
     # -- transit data plane ---------------------------------------------------------------
-    def _transit_forward(self, vn, src_group, packet, inner):
+    def _transit_forward(self, vn, src_group, packet, inner, key=None):
         """Send an overlay packet towards the site currently serving ``dst``.
 
         The away-table (per-endpoint, this site's own roamers only) wins
         over aggregate resolution; unresolved destinations buffer a
         bounded number of packets while the transit map-request runs.
+        An away hit or an aggregate hit is memoized under ``key``.
         """
         away = self._away.get((int(vn), inner.dst.to_prefix()))
         if away is not None:
-            self._transit_send(away, vn, src_group, packet, inner)
+            self._transit_send(away, vn, src_group, packet, inner, key)
             return
         entry = self.transit_cache.lookup(vn, inner.dst)
         if entry is not None:
@@ -529,7 +557,8 @@ class BorderRouter:
                 # local registration: unreachable either way.
                 self.counters.transit_drops += packet.train
                 return
-            self._transit_send(entry.rloc, vn, src_group, packet, inner)
+            self._transit_send(entry.rloc, vn, src_group, packet, inner, key,
+                               expires_at=entry.expires_at)
             return
 
         def replay(rloc, vn=vn, group=src_group, packet=packet, inner=inner):
@@ -539,21 +568,28 @@ class BorderRouter:
                 self._transit_send(rloc, vn, group, packet, inner)
         self._transit_resolve(vn, inner.dst, replay)
 
-    def _transit_send(self, remote_rloc, vn, group, packet, inner):
-        """Re-encapsulate onto the transit, carrying the GPO group tag."""
+    def _transit_send(self, remote_rloc, vn, group, packet, inner, key=None,
+                      expires_at=None):
+        """Re-encapsulate onto the transit, carrying the GPO group tag.
+
+        ``key`` memoizes the decision under that megaflow key, for as
+        long as the transit-cache entry it came from lives.
+        """
         if inner.ttl <= 1:
             self.counters.ttl_drops += packet.train
             return
         inner.ttl -= 1
         self.counters.transit_reencapsulated += packet.train
+        if key is not None:
+            self._mf_install(key, ACT_TRANSIT, self.transit_rloc, remote_rloc,
+                             vn, group, inner, expires_at)
         encapsulate(packet, self.transit_rloc, remote_rloc, vn, group)
         self.transit.send(self.transit_rloc, remote_rloc, packet)
 
     def _on_transit_packet(self, packet):
         if self.failed:
             return  # in flight when the process died
-        udp = packet.find(UdpHeader)
-        if udp is not None and udp.dst_port == VXLAN_PORT:
+        if is_vxlan(packet):
             self._handle_transit_data(packet)
         else:
             self._handle_transit_control(packet.payload)
@@ -579,20 +615,15 @@ class BorderRouter:
             # one megaflow key space.
             key = (int(vn), int(src_group), inner.dst)
             entry = self.megaflow.lookup(key, self.sim.now)
-            if entry is not None:
+            # A transit-leg decision was taken for site-side arrivals
+            # (it may rest on an aggregate, which is no reason to bounce
+            # a packet back onto the transit): re-decide below.
+            if entry is not None and entry.action == ACT_ENCAP:
                 self._mf_relay(entry, packet, inner)
                 return
         record = self.synced.lookup(vn, inner.dst)
         if record is not None and record.rloc != self.rloc:
-            if inner.ttl <= 1:
-                self.counters.ttl_drops += packet.train
-                return
-            inner.ttl -= 1
-            self.counters.relayed_to_edge += packet.train
-            if key is not None:
-                self._mf_install_relay(key, vn, src_group, inner, record.rloc)
-            encapsulate(packet, self.rloc, record.rloc, vn, src_group)
-            self.underlay.send(self.rloc, record.rloc, packet)
+            self._site_send(record.rloc, vn, src_group, packet, inner, key)
             return
         # Not here: the endpoint may have roamed onward to a third site.
         away = self._away.get((int(vn), inner.dst.to_prefix()))
@@ -660,6 +691,8 @@ class BorderRouter:
             record = reply.record
             self.transit_cache.install(reply.vn, record.eid, record.rloc,
                                        version=record.version, ttl=record.ttl)
+        # Site-granular either way: the longest match under it moved.
+        self._mf_flush()
         covering = reply.eid if reply.is_negative else reply.record.eid
         resolved = [
             key for key in self._transit_pending
@@ -727,7 +760,7 @@ class BorderRouter:
         self._away[key] = message.away_rloc
         self._away_meta[key] = (message.group, message.mac)
         self._away_refreshed_at[key] = self.sim.now
-        self._mf_flush()
+        self._mf_invalidate(message.eid)
         for server_rloc in self._site_register_rlocs:
             register = MapRegister(message.vn, message.eid, self.rloc,
                                    message.group, mac=message.mac,
@@ -754,7 +787,7 @@ class BorderRouter:
         self._away_initiated.pop(key, None)
         self._away_refreshed_at.pop(key, None)
         self._away_meta.pop(key, None)
-        self._mf_flush()
+        self._mf_invalidate(message.eid)
         for server_rloc in self._site_register_rlocs:
             # Guarded by our own RLOC: a racing home re-attach (the edge's
             # fresh registration) is never torn down.
@@ -778,7 +811,7 @@ class BorderRouter:
     def _handle_control(self, message):
         if message.kind == PublishUpdate.kind:
             self.counters.publishes_received += 1
-            self._mf_flush()
+            self._mf_invalidate(message.eid)
             if message.record is None:
                 self.synced.unregister(message.vn, message.eid)
             else:

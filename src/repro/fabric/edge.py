@@ -39,13 +39,12 @@ from repro.lisp.messages import (
     control_packet,
 )
 from repro.lisp.registrar import RegisterPacer
-from repro.net.packet import UdpHeader
 from repro.net.vxlan import (
-    VXLAN_PORT,
     EncapTemplate,
     decapsulate,
     encapsulate,
     flow_entropy_port,
+    is_vxlan,
 )
 from repro.policy.acl import GroupAcl
 from repro.policy.matrix import PolicyAction
@@ -277,9 +276,9 @@ class EdgeRouter:
             endpoint.ip, ipv6=endpoint.ipv6, mac=endpoint.mac,
         )
         self.vrf.add(entry)
+        self._mf_invalidate_endpoint(endpoint)
         # Egress enforcement: install the rules for this destination group.
-        self.acl.program(result.rules)
-        self._mf_flush()
+        self._program_acl(result.rules)
         self._register_endpoint(endpoint, roaming)
         if on_complete is not None:
             on_complete(endpoint, True)
@@ -294,9 +293,9 @@ class EdgeRouter:
         old_group = endpoint.group
         endpoint.group = result.group
         self.vrf.update_group(endpoint.identity, result.group)
-        self.acl.program(result.rules)
-        self._mf_flush()
+        self._program_acl(result.rules)
         if old_group is not None and int(old_group) != int(result.group):
+            self._mf_flush()
             # The registration's stored group is refreshed too.
             self._register_endpoint(endpoint, roaming=False)
         if on_complete is not None:
@@ -426,7 +425,7 @@ class EdgeRouter:
         if endpoint.port is not None:
             self._ports.pop(endpoint.port, None)
         self.vrf.remove(endpoint.identity)
-        self._mf_flush()
+        self._mf_invalidate_endpoint(endpoint)
         if endpoint.edge is self:
             endpoint.edge = None
             endpoint.port = None
@@ -483,8 +482,10 @@ class EdgeRouter:
         existing = self.vrf.lookup_identity(station.identity)
         if existing is not None:
             self.vrf.update_group(station.identity, group)
-            self.acl.program(rules)
-            self._mf_flush()
+            self._program_acl(rules)
+            # Decisions taken for the station while its radio was away
+            # (the entry lingered), or under its previous group.
+            self._mf_invalidate_endpoint(station)
             station.edge = self
             return existing
         entry = LocalEndpointEntry(
@@ -492,10 +493,10 @@ class EdgeRouter:
             station.ip, ipv6=station.ipv6, mac=station.mac,
         )
         self.vrf.add(entry)
-        self.acl.program(rules)
+        self._program_acl(rules)
         for eid in station.eids():
             self.map_cache.invalidate(vn, eid)
-        self._mf_flush()
+            self._mf_invalidate(eid)
         station.edge = self
         self.counters.wireless_installs += 1
         return entry
@@ -503,7 +504,7 @@ class EdgeRouter:
     def remove_wireless_endpoint(self, station):
         """Station left the wireless fabric (WLC-driven disassociation)."""
         removed = self.vrf.remove(station.identity)
-        self._mf_flush()
+        self._mf_invalidate_endpoint(station)
         if station.edge is self:
             station.edge = None
         return removed
@@ -521,10 +522,29 @@ class EdgeRouter:
         self._forward_overlay(entry.vn, entry.group, packet)
 
     # -- megaflow fast path ----------------------------------------------------------
+    # Which event invalidates what, and why that is enough, is the
+    # table in :mod:`repro.net.fastpath`.
     def _mf_flush(self):
-        """A control-plane event happened: forget every cached decision."""
+        """The event names no single EID: forget every cached decision."""
         if self.megaflow is not None:
             self.megaflow.flush()
+
+    def _mf_invalidate(self, eid):
+        """``eid``'s mapping changed: forget the decisions taken for it."""
+        if self.megaflow is not None:
+            self.megaflow.invalidate(eid)
+
+    def _mf_invalidate_endpoint(self, endpoint):
+        """``endpoint`` entered or left the VRF: forget its addresses."""
+        mf = self.megaflow
+        if mf is not None:
+            for eid in endpoint.eids():
+                mf.invalidate(eid)
+
+    def _program_acl(self, rules):
+        """Download rule rows; only a changed verdict costs the cache."""
+        if self.acl.program(rules):
+            self._mf_flush()
 
     def _mf_hit_ingress(self, key, entry, packet, train):
         """Replay a cached ingress decision; False falls to the slow path."""
@@ -587,7 +607,7 @@ class EdgeRouter:
                 acl_key, acl_action = self.acl.action_for(src_group, local.group)
                 mf.install(key, MegaflowEntry(
                     ACT_LOCAL, local=local,
-                    acl_key=acl_key, acl_action=acl_action,
+                    acl_key=acl_key, acl_action=acl_action, dst=dst,
                 ))
             self._egress_deliver(vn, src_group, local, packet)
             return
@@ -617,7 +637,7 @@ class EdgeRouter:
                             src_group, cache_entry.group)
                         mf.install(key, MegaflowEntry(
                             ACT_DROP, acl_key=acl_key, acl_action=acl_action,
-                            expires_at=cache_entry.expires_at,
+                            expires_at=cache_entry.expires_at, dst=dst,
                         ))
                     return
             target = cache_entry.rloc
@@ -639,7 +659,7 @@ class EdgeRouter:
                             src_port=flow_entropy_port(inner.src, inner.dst),
                         ),
                         acl_key=acl_key, acl_action=acl_action,
-                        expires_at=cache_entry.expires_at,
+                        expires_at=cache_entry.expires_at, dst=dst,
                     ))
                 self._encap_to(target, vn, src_group, packet, applied=applied)
                 return
@@ -712,8 +732,7 @@ class EdgeRouter:
     def _on_packet(self, packet):
         if self.rebooting:
             return
-        udp = packet.find(UdpHeader)
-        if udp is not None and udp.dst_port == VXLAN_PORT:
+        if is_vxlan(packet):
             self._handle_data(packet)
         else:
             self._handle_control(packet.payload, packet)
@@ -756,7 +775,7 @@ class EdgeRouter:
                 acl_key, acl_action = self.acl.action_for(src_group, local.group)
                 mf.install(key, MegaflowEntry(
                     ACT_LOCAL, local=local,
-                    acl_key=acl_key, acl_action=acl_action,
+                    acl_key=acl_key, acl_action=acl_action, dst=dst,
                 ))
             self._egress_deliver(vn, src_group, local, packet,
                                  policy_applied=vxlan.policy_applied)
@@ -844,6 +863,7 @@ class EdgeRouter:
             del self._pending_resolution[key]
         if reply.is_negative:
             self.map_cache.install_negative(reply.vn, reply.eid, ttl=reply.negative_ttl)
+            self._mf_flush()
         else:
             record = reply.record
             # Cache lifetime: the server's advisory TTL capped by this
@@ -855,7 +875,7 @@ class EdgeRouter:
                 group=record.group, version=record.version, ttl=ttl,
                 mac=record.mac,
             )
-        self._mf_flush()
+            self._mf_invalidate(record.eid)
         if self.l2_gateway is not None:
             self.l2_gateway.on_map_reply(reply)
 
@@ -881,9 +901,9 @@ class EdgeRouter:
                 self._apply_notify_record(record)
 
     def _apply_notify_record(self, record):
-        # Any notify can move an endpoint we hold decisions for (roam
-        # withdrawal of a local entry, or a map-cache version bump).
-        self._mf_flush()
+        # The notify moves one endpoint: its map-cache entry gets a
+        # version bump and, below, its lingering VRF entry is evicted.
+        self._mf_invalidate(record.eid)
         # The endpoint may still be in our VRF if the move raced detection.
         entry = self.vrf.lookup_ip(record.vn, record.eid.address)
         if entry is not None and record.rloc != self.rloc:
@@ -893,6 +913,8 @@ class EdgeRouter:
                 # the fresh entry would blackhole it at its own edge.
                 return
             self.vrf.remove(entry.endpoint.identity)
+            # The eviction takes the endpoint's other addresses along.
+            self._mf_invalidate_endpoint(entry.endpoint)
         if record.rloc != self.rloc:
             ttl = min(record.ttl, self.map_cache.default_ttl)
             self.map_cache.install(
@@ -905,13 +927,12 @@ class EdgeRouter:
         """Fig. 6 step 4: drop the stale mapping and re-resolve."""
         self.counters.smr_received += 1
         self.map_cache.invalidate(smr.vn, smr.eid)
-        self._mf_flush()
+        self._mf_invalidate(smr.eid)
         self._resolve(smr.vn, smr.eid.address)
 
     def _handle_sxp(self, update):
         if update.rule is not None:
-            self.acl.program([update.rule])
-            self._mf_flush()
+            self._program_acl([update.rule])
 
     def _send_control(self, dst_rloc, message):
         self.underlay.send(

@@ -23,7 +23,9 @@ class _Address:
 
     #: ``value`` is a plain read-only slot (``__setattr__`` refuses
     #: writes), so the trie reads the int without a Python-level call.
-    __slots__ = ("value",)
+    #: ``_hash`` is computed once: addresses are dict keys on every
+    #: per-packet path (megaflow, attachments, reachability).
+    __slots__ = ("value", "_hash")
 
     bits = 0
     family = "abstract"
@@ -35,6 +37,7 @@ class _Address:
                 "%s value %d out of %d-bit range" % (self.family, value, self.bits)
             )
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash((self.family, value)))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -58,7 +61,7 @@ class _Address:
         return (self.family, self.value) < (other.family, other.value)
 
     def __hash__(self):
-        return hash((self.family, self.value))
+        return self._hash
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, str(self))
@@ -77,6 +80,8 @@ class _Address:
         prefix = Prefix.__new__(Prefix)
         object.__setattr__(prefix, "address", self)
         object.__setattr__(prefix, "length", self.bits)
+        object.__setattr__(prefix, "_hash",
+                           hash((self.family, self.value, self.bits)))
         return prefix
 
 
@@ -252,8 +257,8 @@ class Prefix:
     MAC registrations.
     """
 
-    #: read-only slots, like ``_Address.value``
-    __slots__ = ("address", "length")
+    #: read-only slots, like ``_Address.value`` and ``_Address._hash``
+    __slots__ = ("address", "length", "_hash")
 
     def __init__(self, address, length):
         if not isinstance(address, _Address):
@@ -271,6 +276,8 @@ class Prefix:
             address = type(address)(canonical)
         object.__setattr__(self, "address", address)
         object.__setattr__(self, "length", length)
+        object.__setattr__(self, "_hash",
+                           hash((address.family, address.value, length)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Prefix is immutable")
@@ -359,7 +366,7 @@ class Prefix:
         )
 
     def __hash__(self):
-        return hash((self.family, self.address.value, self.length))
+        return self._hash
 
     def __str__(self):
         return "%s/%d" % (self.address, self.length)

@@ -20,26 +20,54 @@ re-walking the table).
 Correctness contract
 --------------------
 The cache is a pure memo: a hit must produce exactly what the slow path
-would.  Three mechanisms enforce that:
+would.  An entry records the destination address it was decided for
+(``dst``), and the owning router tells the cache which state a
+control-plane event touched, the way the OVS revalidator only revisits
+the flows that depend on what changed.  A mobility update is selective
+(sec. 3.4, fig. 5/6): it names one EID, so it costs that EID's entries
+and nothing else.  :meth:`MegaflowCache.invalidate` is the scoped verb —
+a host EID drops that destination's entries; a shorter prefix can change
+the longest-prefix match of any address under it, so it falls back to
+:meth:`MegaflowCache.flush`.
 
-* **epoch flush** — the owning router calls :meth:`MegaflowCache.flush`
-  on every event that can change any forwarding decision (map-cache
-  installs from Map-Reply/Map-Notify, SMRs, policy/SXP rule downloads,
-  VRF churn from onboarding/roams/withdrawals, reachability events,
-  pub/sub route publishes, reboots).  Flushing the whole cache on a
-  control-plane event is the OVS revalidation model collapsed to its
-  simplest correct form: control-plane events are rare relative to
-  packets, so the lost hits are noise;
-* **entry TTL** — an entry derived from a map-cache entry inherits its
-  ``expires_at``, so TTL expiry (which the slow path detects lazily
-  during lookup) cannot be outlived by the memo;
-* **liveness re-checks on hit** — local-delivery entries re-verify
-  ``endpoint.edge`` identity and encap entries re-verify underlay
-  reachability, the two conditions the slow path tests per packet that
-  can flip without a control-plane message reaching this router.
+====================================  ==============  ==========================================
+event                                 invalidates     why that is sufficient
+====================================  ==============  ==========================================
+endpoint/station installed, removed   its EIDs        the VRF holds host routes only, so only
+or evicted locally (onboarding,                       decisions *for* those addresses read the
+detach, wireless install/remove,                      entry; every add and remove invalidates,
+the VRF eviction a Map-Notify does)                   so a cached ``local`` is always current
+Map-Notify record, SMR, host          that EID        a host mapping is the longest match of
+Map-Reply (edge); ``PublishUpdate``                   exactly one address; stale-version
+of a host EID (border)                                installs change nothing
+away register / unregister /          that EID        the away table is exact-match per
+TTL release / adoption (border)                       (VN, host EID)
+map-cache or transit-cache entry      nothing         the entry inherited ``expires_at``; the
+ages out                                              slow path re-detects the expiry
+endpoint's radio left, RLOC           nothing         re-checked on every hit (``endpoint.edge``
+unreachable without a message here                    identity, underlay reachability)
+rule download (auth result, SXP)      nothing         ``GroupAcl.program`` reports no change;
+that repeats the verdicts held                        verdicts are all an entry keeps of a rule
+------------------------------------  --------------  ------------------------------------------
+rule download that changes a verdict  **everything**  any source group's entry towards the
+                                                      rule's destination group may hold it
+group change on re-auth               **everything**  rewrites the VRF entry in place under
+                                                      every verdict taken towards it, along
+                                                      with another group's rule rows: an
+                                                      operator action, not a mobility event
+negative or aggregate Map-Reply,      **everything**  a shorter prefix moves the longest match
+aggregate publish, any transit-cache                  of every address it covers
+install (border)
+RLOC lost in the IGP, unreachable     **everything**  names an RLOC, not an EID: every entry
+fallback, border failover                             resolved to it, or defaulting through it
+external-route edit (border)          **everything**  external routes are prefixes
+reboot, border crash                  **everything**  all forwarding state is gone
+capacity overflow                     **everything**  cheap, self-corrects key churn
+====================================  ==============  ==========================================
 
-Entries are capacity-bounded; overflow flushes the cache (cheap, and
-self-corrects pathological key churn).
+The rows above the rule are scoped; ``flush`` survives only below it,
+for events that name no single EID.  Entries installed without a
+``dst`` are outside the index: only their TTL or a flush removes them.
 """
 
 from __future__ import annotations
@@ -48,6 +76,7 @@ from __future__ import annotations
 ACT_LOCAL = 0    #: deliver to a locally attached endpoint (egress stage)
 ACT_ENCAP = 1    #: VXLAN-encapsulate to a resolved RLOC via template
 ACT_DROP = 2     #: policy drop decided at this router (ingress mode)
+ACT_TRANSIT = 3  #: border only: re-encapsulate onto the inter-site transit
 
 #: Key-space direction tags.
 DIR_INGRESS = 0  #: decision for traffic entering the overlay here
@@ -58,40 +87,47 @@ class MegaflowEntry:
     """One memoized forwarding decision."""
 
     __slots__ = ("action", "local", "rloc", "template", "acl_key",
-                 "acl_action", "expires_at")
+                 "acl_action", "expires_at", "dst")
 
     def __init__(self, action, local=None, rloc=None, template=None,
-                 acl_key=None, acl_action=None, expires_at=None):
+                 acl_key=None, acl_action=None, expires_at=None, dst=None):
         self.action = action
         #: the VRF LocalEndpointEntry for ACT_LOCAL
         self.local = local
-        #: target RLOC for ACT_ENCAP
+        #: target RLOC for ACT_ENCAP / ACT_TRANSIT
         self.rloc = rloc
-        #: EncapTemplate for ACT_ENCAP
+        #: EncapTemplate for ACT_ENCAP / ACT_TRANSIT
         self.template = template
         #: (src group int, dst group int) pair the verdict was taken on
         self.acl_key = acl_key
         #: PolicyAction this key resolved to when the entry was built
         self.acl_action = acl_action
-        #: inherited map-cache expiry (None = no TTL applies)
+        #: inherited map-cache / transit-cache expiry (None = no TTL applies)
         self.expires_at = expires_at
+        #: destination address the decision was taken for — what
+        #: :meth:`MegaflowCache.invalidate` finds the entry by
+        self.dst = dst
 
     def __repr__(self):
-        kind = {ACT_LOCAL: "local", ACT_ENCAP: "encap", ACT_DROP: "drop"}
+        kind = {ACT_LOCAL: "local", ACT_ENCAP: "encap", ACT_DROP: "drop",
+                ACT_TRANSIT: "transit"}
         return "MegaflowEntry(%s)" % kind.get(self.action, self.action)
 
 
 class MegaflowCache:
-    """Bounded decision memo with epoch-flush invalidation."""
+    """Bounded decision memo with per-destination invalidation."""
 
-    __slots__ = ("max_entries", "hits", "misses", "flushes", "_entries")
+    __slots__ = ("max_entries", "hits", "misses", "flushes", "invalidations",
+                 "_entries", "_by_dst")
 
     def __init__(self, max_entries=4096):
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.flushes = 0
+        self.invalidations = 0
         self._entries = {}
+        self._by_dst = {}     # entry.dst -> [keys of the live entries for it]
 
     def __len__(self):
         return len(self._entries)
@@ -106,7 +142,7 @@ class MegaflowCache:
         if expires is not None and expires <= now:
             # The underlying map-cache entry aged out; the slow path
             # must re-detect the expiry (it deletes the trie entry).
-            del self._entries[key]
+            self.drop(key)
             self.misses += 1
             return None
         self.hits += 1
@@ -115,28 +151,54 @@ class MegaflowCache:
     def install(self, key, entry):
         if len(self._entries) >= self.max_entries:
             self.flush()
+        else:
+            self.drop(key)     # a re-decided key leaves the index first
         self._entries[key] = entry
+        if entry.dst is not None:
+            self._by_dst.setdefault(entry.dst, []).append(key)
         return entry
 
     def drop(self, key):
         """Forget one entry (a hit-time liveness re-check failed)."""
-        self._entries.pop(key, None)
+        entry = self._entries.pop(key, None)
+        if entry is not None and entry.dst is not None:
+            keys = self._by_dst[entry.dst]
+            keys.remove(key)
+            if not keys:
+                del self._by_dst[entry.dst]
+
+    def invalidate(self, eid):
+        """Forget the decisions taken for ``eid`` (a :class:`Prefix`).
+
+        A host EID drops only its own destination's entries.  Anything
+        shorter flushes: it can change the longest-prefix match of
+        every address under it.
+        """
+        if not eid.is_host:
+            self.flush()
+            return
+        self.invalidations += 1
+        for key in self._by_dst.pop(eid.address, ()):
+            del self._entries[key]
 
     def flush(self):
-        """Invalidate everything (a control-plane event happened)."""
+        """Invalidate everything (the event named no single EID)."""
         if self._entries:
             self._entries.clear()
+            self._by_dst.clear()
         self.flushes += 1
 
     def stats_dict(self):
-        """Hit/miss/invalidation-epoch stats for the metric registry.
+        """Hit/miss/invalidation stats for the metric registry.
 
-        ``flushes`` counts invalidation epochs: every flush starts a new
-        epoch in which all decisions are recomputed once.
+        ``invalidations`` counts scoped events (one EID's entries
+        dropped, the rest kept); ``flushes`` counts the events after
+        which every decision is recomputed once.
         """
         return {
             "hits": self.hits,
             "misses": self.misses,
             "flushes": self.flushes,
+            "invalidations": self.invalidations,
             "entries": len(self._entries),
         }

@@ -158,11 +158,10 @@ class Packet:
 
     def inner_ip(self):
         """The innermost IP header (the overlay one if encapsulated)."""
-        result = None
-        for header in self.headers:
+        for header in reversed(self.headers):
             if isinstance(header, IpHeader):
-                result = header
-        return result
+                return header
+        return None
 
     def copy(self):
         """Shallow-ish copy: new header list/meta, shared payload object."""

@@ -146,10 +146,11 @@ def encapsulate(packet, outer_src, outer_dst, vni, group, src_port=None):
             src_port = flow_entropy_port(inner.src, inner.dst)
         else:
             src_port = 0xC000
-    header = VxlanGpoHeader(vni=vni, group=group)
-    packet.push(header)
-    packet.push(UdpHeader(src_port, VXLAN_PORT))
-    packet.push(IpHeader(outer_src, outer_dst, proto=IPPROTO_UDP))
+    packet.headers[:0] = (
+        IpHeader(outer_src, outer_dst, proto=IPPROTO_UDP),
+        UdpHeader(src_port, VXLAN_PORT),
+        VxlanGpoHeader(vni=vni, group=group),
+    )
     packet.size += ENCAP_OVERHEAD
     return packet
 
@@ -203,17 +204,30 @@ def decapsulate(packet):
     Raises :class:`EncapsulationError` when the packet is not a VXLAN
     packet (wrong header stack or wrong UDP port).
     """
-    outer_ip = packet.outer()
-    if not isinstance(outer_ip, IpHeader):
+    headers = packet.headers
+    depth = len(headers)
+    if depth < 1 or not isinstance(headers[0], IpHeader):
         raise EncapsulationError("decapsulate: outer header is not IP")
-    udp = packet.headers[1] if len(packet.headers) > 1 else None
-    if not isinstance(udp, UdpHeader) or udp.dst_port != VXLAN_PORT:
+    if depth < 2 or not isinstance(headers[1], UdpHeader) \
+            or headers[1].dst_port != VXLAN_PORT:
         raise EncapsulationError("decapsulate: not a VXLAN packet")
-    vxlan = packet.headers[2] if len(packet.headers) > 2 else None
-    if not isinstance(vxlan, VxlanGpoHeader):
+    if depth < 3 or not isinstance(headers[2], VxlanGpoHeader):
         raise EncapsulationError("decapsulate: missing VXLAN-GPO header")
-    packet.pop()
-    packet.pop()
-    packet.pop()
+    vxlan = headers[2]
+    del headers[:3]
     packet.size -= ENCAP_OVERHEAD
     return vxlan
+
+
+def is_vxlan(packet):
+    """Is the packet's UDP header addressed to the VXLAN port?
+
+    What a fabric device asks of every underlay arrival to tell overlay
+    data from control.  Both stacks put UDP right under the outer IP
+    header; any other shape falls back to the first UDP header found.
+    """
+    headers = packet.headers
+    udp = headers[1] if len(headers) > 1 else None
+    if not isinstance(udp, UdpHeader):
+        udp = packet.find(UdpHeader)
+    return udp is not None and udp.dst_port == VXLAN_PORT

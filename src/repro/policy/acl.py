@@ -35,10 +35,19 @@ class GroupAcl:
         return len(self._rules)
 
     def program(self, rules):
-        """Install/refresh a batch of :class:`PolicyRule` (idempotent)."""
+        """Install/refresh a batch of :class:`PolicyRule` (idempotent).
+
+        Returns True when a pair's action is new or different — the only
+        case in which a verdict baked into a megaflow can have gone
+        stale.  Re-downloading the rows already held returns False.
+        """
+        changed = False
         for rule in rules:
-            self._rules[rule.key] = rule.action
+            if self._rules.get(rule.key) != rule.action:
+                self._rules[rule.key] = rule.action
+                changed = True
             self._versions[rule.key] = rule.version
+        return changed
 
     def remove(self, src_group, dst_group):
         key = (int(src_group), int(dst_group))

@@ -82,8 +82,12 @@ class UnderlayNetwork:
         self.extra_delay_jitter_s = extra_delay_jitter_s
         self._rng = SeededRng(seed)
         self._attachments = {}        # rloc -> _Attachment
-        self._path_cache = {}         # (src node, dst node) -> (delay, hops) at version
-        self._path_cache_version = -1
+        self._path_cache = {}         # (src node, dst node) -> (delay, hops) or None
+        #: (from rloc, to rloc) -> what ``_route`` resolved.  One epoch
+        #: lasts until an attach, detach, ``set_announced`` or topology
+        #: change, so the per-packet path is a single probe.
+        self._routes = {}
+        topology.watch(self._topology_changed)
         self.counters = UnderlayCounters()
 
     # -- counter compatibility -----------------------------------------------------
@@ -130,11 +134,13 @@ class UnderlayNetwork:
         if not self.topology.has_node(node):
             raise ConfigurationError("unknown topology node %r" % node)
         self._attachments[rloc] = _Attachment(rloc, node, deliver)
+        self._routes.clear()
         if self.igp is not None:
             self.igp.router(node).announce_stub(rloc)
 
     def detach(self, rloc):
         attachment = self._attachments.pop(rloc, None)
+        self._routes.clear()
         if attachment is not None and self.igp is not None:
             self.igp.router(attachment.node).withdraw_stub(rloc)
 
@@ -148,6 +154,7 @@ class UnderlayNetwork:
         if attachment is None:
             raise ConfigurationError("unknown RLOC %s" % rloc)
         attachment.announced = bool(announced)
+        self._routes.clear()
         if self.igp is not None:
             router = self.igp.router(attachment.node)
             if announced:
@@ -162,17 +169,15 @@ class UnderlayNetwork:
         self.igp.router(at_node).subscribe_reachability(callback)
 
     # -- path computation ---------------------------------------------------------------
-    def _paths(self):
-        if self._path_cache_version != self.topology.version:
-            self._path_cache = {}
-            self._path_cache_version = self.topology.version
-        return self._path_cache
+    def _topology_changed(self):
+        self._path_cache.clear()
+        self._routes.clear()
 
     def _compute_path(self, src_node, dst_node):
         """BFS-by-cost (Dijkstra) over live topology; returns (delay, hops).
 
         Uses link delay as the accumulated quantity and metric for route
-        selection; results are cached per topology version.
+        selection; results are cached until the topology changes.
         """
         import heapq
 
@@ -201,24 +206,53 @@ class UnderlayNetwork:
                     )
         return None
 
-    def path_delay(self, src_node, dst_node):
-        """Shortest-path propagation delay between two nodes (or ``None``)."""
-        cache = self._paths()
+    def _path(self, src_node, dst_node):
+        cache = self._path_cache
         key = (src_node, dst_node)
         if key not in cache:
             cache[key] = self._compute_path(src_node, dst_node)
-        entry = cache[key]
-        return entry[0] if entry else None
+        return cache[key]
+
+    def path_delay(self, src_node, dst_node):
+        """Shortest-path propagation delay between two nodes (or ``None``)."""
+        path = self._path(src_node, dst_node)
+        return path[0] if path else None
+
+    def _route(self, from_rloc, to_rloc):
+        """Resolve one RLOC pair and memoize it for the epoch.
+
+        Returns ``(attachment, delay, hops, speaker)``: ``attachment`` is
+        ``None`` for a detached or silenced destination (a blackhole),
+        ``delay`` is ``None`` when no live path joins the two nodes (a
+        partition), ``speaker`` is the source node's IGP router (``None``
+        without an IGP).  An unattached source resolves to ``None`` and
+        is not memoized.
+        """
+        src = self._attachments.get(from_rloc)
+        if src is None:
+            return None
+        dst = self._attachments.get(to_rloc)
+        if dst is None or not dst.announced:
+            route = (None, None, 0, None)
+        else:
+            delay, hops = self._path(src.node, dst.node) or (None, 0)
+            speaker = None
+            if self.igp is not None:
+                speaker = self.igp.router(src.node)
+            route = (dst, delay, hops, speaker)
+        self._routes[(from_rloc, to_rloc)] = route
+        return route
 
     def reachable(self, from_rloc, to_rloc):
         """Is ``to_rloc`` reachable from ``from_rloc``'s attachment point?"""
-        src = self._attachments.get(from_rloc)
-        dst = self._attachments.get(to_rloc)
-        if src is None or dst is None or not dst.announced:
+        route = (self._routes.get((from_rloc, to_rloc))
+                 or self._route(from_rloc, to_rloc))
+        if route is None or route[0] is None:
             return False
-        if self.igp is not None:
-            return self.igp.router(src.node).rloc_is_reachable(to_rloc)
-        return self.path_delay(src.node, dst.node) is not None
+        speaker = route[3]
+        if speaker is not None:
+            return speaker.rloc_is_reachable(to_rloc)
+        return route[1] is not None
 
     # -- delivery --------------------------------------------------------------------------
     def send(self, from_rloc, to_rloc, packet, processing_delay_s=0.0):
@@ -229,24 +263,22 @@ class UnderlayNetwork:
         underlay).  ``processing_delay_s`` lets callers add sender-side
         processing time without scheduling extra events.
         """
-        src = self._attachments.get(from_rloc)
-        dst = self._attachments.get(to_rloc)
-        if src is None:
-            raise ConfigurationError("send from unattached RLOC %s" % from_rloc)
-        if dst is None or not dst.announced:
+        route = self._routes.get((from_rloc, to_rloc))
+        if route is None:
+            route = self._route(from_rloc, to_rloc)
+            if route is None:
+                raise ConfigurationError(
+                    "send from unattached RLOC %s" % from_rloc)
+        dst, delay, hops, _speaker = route
+        if dst is None:
             # Destination device is detached or silenced: a blackhole,
             # not a routing failure.
             self.counters.dropped_packets += packet.train
             self.counters.blackholed += packet.train
             return False
-        path = self._paths().get((src.node, dst.node))
-        if path is None:
-            path = self._compute_path(src.node, dst.node)
-            self._paths()[(src.node, dst.node)] = path
-        if path is None:
+        if delay is None:
             self.counters.dropped_packets += packet.train
             return False
-        delay, hops = path
         # Serialization on each hop, modelled once at the narrowest assumption
         # (uniform link speeds in our canned topologies).  A packet train
         # serializes all of its packet-equivalents back to back, so the

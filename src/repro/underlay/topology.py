@@ -49,18 +49,32 @@ class Topology:
         self._links = {}        # key -> TopologyLink
         self._node_up = {}      # name -> bool
         self._version = 0
+        self._watchers = []
 
     @property
     def version(self):
         """Monotonic counter bumped on every topology change."""
         return self._version
 
+    def watch(self, callback):
+        """Call ``callback()`` after every change that bumps ``version``.
+
+        For whoever memoizes something derived from the graph, so its
+        per-packet path does not have to poll the version.
+        """
+        self._watchers.append(callback)
+
+    def _changed(self):
+        self._version += 1
+        for callback in self._watchers:
+            callback()
+
     def add_node(self, name):
         if name in self._nodes:
             raise ConfigurationError("duplicate topology node %r" % name)
         self._nodes[name] = set()
         self._node_up[name] = True
-        self._version += 1
+        self._changed()
 
     def has_node(self, name):
         return name in self._nodes
@@ -79,7 +93,7 @@ class Topology:
         self._links[key] = link
         self._nodes[a].add(key)
         self._nodes[b].add(key)
-        self._version += 1
+        self._changed()
         return link
 
     def link(self, a, b):
@@ -107,7 +121,7 @@ class Topology:
         link = self.link(a, b)
         if link.up != bool(up):
             link.up = bool(up)
-            self._version += 1
+            self._changed()
         return link
 
     def set_node_state(self, name, up):
@@ -115,7 +129,7 @@ class Topology:
             raise ConfigurationError("unknown topology node %r" % name)
         if self._node_up[name] != bool(up):
             self._node_up[name] = bool(up)
-            self._version += 1
+            self._changed()
 
     def node_is_up(self, name):
         return self._node_up.get(name, False)

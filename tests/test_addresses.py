@@ -172,3 +172,21 @@ class TestPrefix:
         prefix = pfx("10.0.0.0/8")
         with pytest.raises(AttributeError):
             prefix.length = 9
+
+    def test_hash_is_fixed_at_construction_on_every_path(self, pfx):
+        # The hash sits in a read-only slot; the ``to_prefix`` shortcut
+        # bypasses ``__init__`` and must agree with it, or one EID would
+        # land in two dict buckets.
+        for addr in (IPv4Address.parse("10.1.2.3"), MacAddress(5),
+                     IPv6Address.parse("2001:db8::7")):
+            via_init = Prefix(addr, addr.bits)
+            shortcut = addr.to_prefix()
+            assert shortcut == via_init and hash(shortcut) == hash(via_init)
+            assert {via_init: 1}[shortcut] == 1
+            assert hash(addr) == hash(type(addr)(addr.value))
+            with pytest.raises(AttributeError):
+                addr._hash = 0
+            with pytest.raises(AttributeError):
+                shortcut._hash = 0
+        assert hash(IPv4Address(1)) != hash(MacAddress(1))
+        assert hash(pfx("10.0.0.0/8")) != hash(pfx("10.0.0.0/9"))

@@ -141,6 +141,65 @@ def test_path_cache_invalidated_on_topology_change(sim, ip):
     assert d2 is not None
 
 
+@pytest.mark.parametrize("use_igp", [True, False])
+def test_route_memo_sees_every_change_on_the_very_next_call(sim, ip, use_igp):
+    """``send``/``reachable`` answer from a per-pair memo; a detach,
+    a silenced announcement, a re-attach elsewhere and a cut path must
+    each show on the first call after them, not one epoch later."""
+    net, igp, spines, leaves = _build(sim, use_igp=use_igp)
+    got = []
+    a, b = ip("10.0.0.1"), ip("10.0.0.2")
+    net.attach(a, leaves[0], lambda p: None)
+    net.attach(b, leaves[1], got.append)
+
+    def settle():
+        if igp is not None:
+            igp.converge()
+        sim.run()
+
+    def warm():
+        """Both calls answer from the memo before the next change."""
+        settle()
+        assert net.reachable(a, b) and net.send(a, b, Packet(size=100))
+        sim.run()
+
+    warm()
+    assert len(got) == 1
+
+    net.set_announced(b, False)
+    assert not net.reachable(a, b)
+    assert not net.send(a, b, Packet(size=100))
+    assert net.blackholed == 1
+    net.set_announced(b, True)
+    warm()
+
+    net.detach(b)
+    assert not net.reachable(a, b)
+    assert not net.send(a, b, Packet(size=100))
+    assert net.blackholed == 2
+    # Back at another node: the memoized attachment and path are gone.
+    moved = []
+    net.attach(b, leaves[2], moved.append)
+    warm()
+    assert len(got) == 2 and len(moved) == 1
+
+    # Cut leaf-2 off: a partition, not a blackhole — counted as a drop.
+    for spine in spines:
+        net.topology.set_link_state(leaves[2], spine, False)
+    assert not net.send(a, b, Packet(size=100))
+    assert (net.dropped_packets, net.blackholed) == (3, 2)
+    if igp is None:
+        assert not net.reachable(a, b)   # with an IGP: after reconvergence
+    net.topology.set_link_state(leaves[2], spines[0], True)
+    warm()
+    assert len(moved) == 2
+
+    net.detach(a)
+    assert not net.reachable(a, b)
+    with pytest.raises(ConfigurationError):
+        net.send(a, b, Packet(size=100))
+
+
 def test_subscribe_reachability_requires_igp(sim, ip):
     net, igp, spines, leaves = _build(sim, use_igp=False)
     with pytest.raises(ConfigurationError):

@@ -5,13 +5,20 @@ import pytest
 from repro.core.errors import EncapsulationError
 from repro.core.types import GroupId, VNId
 from repro.net.addresses import IPv4Address
-from repro.net.packet import IpHeader, UdpHeader, make_udp_packet
+from repro.net.packet import (
+    EthernetHeader,
+    IpHeader,
+    Packet,
+    UdpHeader,
+    make_udp_packet,
+)
 from repro.net.vxlan import (
     ENCAP_OVERHEAD,
     VXLAN_PORT,
     VxlanGpoHeader,
     decapsulate,
     encapsulate,
+    is_vxlan,
 )
 
 
@@ -126,3 +133,55 @@ class TestEncapDecap:
         assert int(outer.vni) == 2
         inner = decapsulate(packet)
         assert int(inner.vni) == 1
+
+
+_IP = IpHeader(IPv4Address(1), IPv4Address(2))
+_ETH = EthernetHeader(None, None)
+_VXLAN_UDP = UdpHeader(0xC000, VXLAN_PORT)
+
+
+class TestHeaderStackChecks:
+    @pytest.mark.parametrize("headers, message", [
+        ([], "decapsulate: outer header is not IP"),
+        ([_ETH, _VXLAN_UDP, VxlanGpoHeader(1, 1)],
+         "decapsulate: outer header is not IP"),
+        ([_IP], "decapsulate: not a VXLAN packet"),
+        ([_IP, _IP, VxlanGpoHeader(1, 1)], "decapsulate: not a VXLAN packet"),
+        ([_IP, UdpHeader(1, 2), VxlanGpoHeader(1, 1)],
+         "decapsulate: not a VXLAN packet"),
+        ([_IP, _VXLAN_UDP], "decapsulate: missing VXLAN-GPO header"),
+        ([_IP, _VXLAN_UDP, _IP], "decapsulate: missing VXLAN-GPO header"),
+    ])
+    def test_decapsulate_names_what_is_wrong_and_touches_nothing(
+            self, headers, message):
+        packet = Packet(headers=headers, size=700)
+        with pytest.raises(EncapsulationError) as raised:
+            decapsulate(packet)
+        assert str(raised.value) == message
+        assert packet.headers == headers and packet.size == 700
+
+    def test_encapsulate_puts_three_headers_in_front(self):
+        packet = make_udp_packet(IPv4Address(5), IPv4Address(6), 10, 20)
+        inner = list(packet.headers)
+        encapsulate(packet, IPv4Address(1), IPv4Address(2), 7, 9)
+        outer_ip, udp, vxlan = packet.headers[:3]
+        assert (outer_ip.src, outer_ip.dst) == (IPv4Address(1), IPv4Address(2))
+        assert udp.dst_port == VXLAN_PORT
+        assert (int(vxlan.vni), int(vxlan.group)) == (7, 9)
+        assert packet.headers[3:] == inner
+        assert packet.inner_ip() is inner[0]
+
+    def test_inner_ip_of_stacks_without_ip(self):
+        assert Packet().inner_ip() is None
+        assert Packet(headers=[_ETH, _VXLAN_UDP]).inner_ip() is None
+
+    def test_is_vxlan(self):
+        data = make_udp_packet(IPv4Address(5), IPv4Address(6), 10, 20)
+        assert not is_vxlan(data)                 # overlay UDP, other port
+        encapsulate(data, IPv4Address(1), IPv4Address(2), 7, 9)
+        assert is_vxlan(data)
+        assert not is_vxlan(Packet())
+        assert not is_vxlan(Packet(headers=[_IP]))
+        # UDP somewhere other than right under the outer IP header.
+        assert is_vxlan(Packet(headers=[_ETH, _IP, _VXLAN_UDP]))
+        assert not is_vxlan(Packet(headers=[_ETH, _IP, UdpHeader(1, 2)]))
