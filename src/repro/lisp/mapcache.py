@@ -11,16 +11,10 @@ deleting that FIB entry").
 
 Fast path
 ---------
-``lookup`` runs once per data packet, so it carries two layers of
-memoization (both invisible to callers):
-
-* the per-(VN, family) trie resolution is memoized — repeated lookups in
-  the same VN/family skip the dict probe and key-tuple allocation;
-* a single-entry **hot-flow cache** remembers the last (VN, address as
-  given) -> entry resolution, so a burst of packets on one flow costs
-  one comparison instead of a trie descent.  Any mutation (install,
-  invalidate, sweep, expiry) clears it, because a new more-specific
-  prefix can legitimately change the longest-prefix answer.
+``lookup`` runs once per data packet.  The per-(VN, family) trie
+resolution is memoized — repeated lookups in the same VN/family skip the
+dict probe and key-tuple allocation — and a host EID then resolves in the
+trie's exact-match host table: one family check plus one dict probe.
 
 ``sweep`` and ``invalidate_rloc`` keep cheap per-trie indices — the
 soonest expiry per trie (a lower bound, recomputed on sweep) and a live
@@ -68,9 +62,9 @@ class MapCache:
     """
 
     __slots__ = ("sim", "default_ttl", "negative_ttl", "serve_stale_s",
-                 "stale_hits", "_tries", "_count",
+                 "stale_hits", "_tries",
                  "hits", "misses", "expirations", "invalidations",
-                 "_trie_memo_key", "_trie_memo", "_hot_key", "_hot_entry",
+                 "_trie_memo_key", "_trie_memo",
                  "_soonest", "_rloc_counts")
 
     def __init__(self, sim, default_ttl=1200.0, negative_ttl=15.0,
@@ -86,7 +80,6 @@ class MapCache:
         self.serve_stale_s = serve_stale_s
         self.stale_hits = 0
         self._tries = {}   # (vn int, family) -> PatriciaTrie of MapCacheEntry
-        self._count = 0
         self.hits = 0
         self.misses = 0
         self.expirations = 0
@@ -95,9 +88,6 @@ class MapCache:
         #: packets = one (vn, family))
         self._trie_memo_key = None
         self._trie_memo = None
-        #: single-entry hot-flow cache: (vn int, address or Prefix) -> entry
-        self._hot_key = None
-        self._hot_entry = None
         #: per-trie soonest expiry (lower bound; refreshed on sweep)
         self._soonest = {}
         #: per-trie {rloc: live positive entries} for invalidate_rloc
@@ -105,13 +95,7 @@ class MapCache:
 
     def __len__(self):
         """Live (unexpired) positive entries — the FIB occupancy metric."""
-        now = self.sim.now
-        total = 0
-        for trie in self._tries.values():
-            for _prefix, entry in trie.items():
-                if not entry.negative and entry.expires_at > now:
-                    total += 1
-        return total
+        return self.occupancy()
 
     def _trie(self, vn, family, create=False):
         key = (int(vn), family)
@@ -173,7 +157,6 @@ class MapCache:
                               last_used=self.sim.now)
         trie.insert(eid, entry)
         self._note_added((int(vn), eid.family), entry, existing)
-        self._hot_key = None
         return True
 
     def install_negative(self, vn, eid, ttl=None):
@@ -184,7 +167,6 @@ class MapCache:
                               last_used=self.sim.now)
         existing = trie.insert(eid, entry)
         self._note_added((int(vn), eid.family), entry, existing)
-        self._hot_key = None
 
     # -- lookup ---------------------------------------------------------------------------
     def lookup(self, vn, address):
@@ -197,13 +179,6 @@ class MapCache:
         """
         vn_int = int(vn)
         now = self.sim.now
-        if self._hot_key is not None and self._hot_key == (vn_int, address):
-            entry = self._hot_entry
-            if entry.expires_at > now:
-                entry.last_used = now
-                self.hits += 1
-                return entry
-            self._hot_key = None   # expired; fall through and delete it
         family = address.family
         trie = self._trie(vn_int, family)
         if trie is None:
@@ -219,22 +194,18 @@ class MapCache:
                     and entry.expires_at + self.serve_stale_s > now):
                 # Degraded mode: serve the expired mapping (the caller
                 # sees expires_at <= now and re-resolves) rather than
-                # blackholing while the map server is drowning.  Not
-                # hot-cached: staleness is re-judged every lookup.
+                # blackholing while the map server is drowning.
                 entry.last_used = now
                 self.hits += 1
                 self.stale_hits += 1
                 return entry
             trie.delete(prefix)
             self._note_removed((vn_int, family), entry)
-            self._hot_key = None
             self.expirations += 1
             self.misses += 1
             return None
         entry.last_used = now
         self.hits += 1
-        self._hot_key = (vn_int, address)
-        self._hot_entry = entry
         return entry
 
     def invalidate(self, vn, eid):
@@ -247,7 +218,6 @@ class MapCache:
             return False
         trie.delete(eid)
         self._note_removed((int(vn), eid.family), entry)
-        self._hot_key = None
         self.invalidations += 1
         return True
 
@@ -271,8 +241,6 @@ class MapCache:
                 trie.delete(prefix)
                 self._note_removed(key, entry)
                 removed += 1
-        if removed:
-            self._hot_key = None
         self.invalidations += removed
         return removed
 
@@ -312,8 +280,6 @@ class MapCache:
                 self._soonest.pop(key, None)
             else:
                 self._soonest[key] = next_soonest
-        if removed:
-            self._hot_key = None
         self.expirations += removed
         return removed
 

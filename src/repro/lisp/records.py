@@ -70,6 +70,9 @@ class MappingRecord:
 class MappingDatabase:
     """Per-(VN, family) Patricia tries holding :class:`MappingRecord`.
 
+    Endpoint EIDs are host prefixes: registering, unregistering or looking
+    one up is a dict operation on its trie's host table (:mod:`repro.net.trie`).
+
     Pure data structure — no simulation, no messaging — so it can be
     benchmarked directly (fig. 7's object of study) and reused by both the
     routing server and the proactive BGP baseline's RIB.
@@ -77,7 +80,6 @@ class MappingDatabase:
 
     def __init__(self):
         self._tries = {}   # (int(vn), family) -> PatriciaTrie
-        self._count = 0
         #: version tombstones: last version ever issued per (vn, eid).
         #: Versions must stay monotonic across unregister/re-register
         #: cycles, or caches holding the pre-departure version reject
@@ -85,7 +87,7 @@ class MappingDatabase:
         self._versions = {}
 
     def __len__(self):
-        return self._count
+        return self.count()
 
     def _trie(self, vn, family, create=False):
         key = (int(vn), family)
@@ -107,8 +109,6 @@ class MappingDatabase:
         record.version = max(record.version,
                              self._versions.get(key, 0) + 1)
         previous = trie.insert(record.eid, record)
-        if previous is None:
-            self._count += 1
         self._versions[key] = record.version
         return previous
 
@@ -129,7 +129,6 @@ class MappingDatabase:
         if rloc is not None and record.rloc != rloc:
             return None
         trie.delete(eid)
-        self._count -= 1
         return record
 
     def lookup(self, vn, eid_or_address):
@@ -157,9 +156,10 @@ class MappingDatabase:
                 yield record
 
     def count(self, vn=None, family=None):
-        if vn is None and family is None:
-            return self._count
-        return sum(1 for _ in self.records(vn, family))
+        """Records held, optionally per VN and/or family: O(#tries)."""
+        return sum(len(trie) for (trie_vn, trie_family), trie in self._tries.items()
+                   if (vn is None or trie_vn == int(vn))
+                   and (family is None or trie_family == family))
 
     def adopt_versions(self, other):
         """Carry another database's version floor into this one.
@@ -175,5 +175,4 @@ class MappingDatabase:
 
     def clear(self):
         self._tries = {}
-        self._count = 0
         self._versions = {}

@@ -10,9 +10,17 @@ This module implements that structure: a path-compressed binary trie keyed
 by :class:`repro.net.addresses.Prefix`.  Lookup cost is O(key bits)
 regardless of occupancy, which is exactly the property Fig. 7a/7b measure.
 
+Full-length prefixes (every endpoint EID) sit beside the nodes in an
+exact-match dict keyed by the address value, as a switch ASIC splits its
+host table from its LPM table; nodes hold only shorter prefixes.  Both
+sides stay occupancy-independent: a fixed-width key hashes in constant
+time, and the descent, rid of the host leaves and their split nodes, is
+still at most one step per key bit.
+
 The trie is family-specific — one trie per (VN, address family) in the
 routing server — because mixing 32/48/128-bit keys in one tree would break
-prefix semantics.
+prefix semantics.  The family check runs before the host-table probe, so
+a colliding int of another family matches nothing.
 """
 
 from __future__ import annotations
@@ -25,11 +33,11 @@ class _Node:
     """Internal trie node.
 
     ``key`` is the canonical address value (host bits zero) of the path
-    from the root down to this node and ``length`` its bit count — plain
-    ints, so a descent is shifts and compares.  ``prefix`` is the
-    caller's :class:`Prefix`, set only while a route is stored here; a
-    split node has none.  ``zero``/``one`` are the children selected by
-    the first bit after ``length``.
+    from the root down to this node and ``length`` its bit count, always
+    short of a host route — plain ints, so a descent is shifts and
+    compares.  ``prefix`` is the caller's :class:`Prefix`, set only while
+    a route is stored here; a split node has none.  ``zero``/``one`` are
+    the children selected by the first bit after ``length``.
     """
 
     __slots__ = ("key", "length", "prefix", "value", "zero", "one")
@@ -51,19 +59,20 @@ class PatriciaTrie:
     query with a key of another family (another width) matches nothing.
     """
 
-    __slots__ = ("_root", "_family", "_size")
+    #: ``_hosts``: address value -> ``(prefix, value)``; ``_size``: node routes
+    __slots__ = ("_root", "_family", "_size", "_hosts")
 
     def __init__(self, family=None):
         self._root = None
         self._family = family
         self._size = 0
+        self._hosts = {}
 
     def __len__(self):
-        return self._size
+        return self._size + len(self._hosts)
 
     def __bool__(self):
-        # An empty trie is falsy like other containers; len() is tracked.
-        return self._size > 0
+        return self._size > 0 or bool(self._hosts)
 
     @property
     def family(self):
@@ -74,6 +83,7 @@ class PatriciaTrie:
         """Insert or replace the value stored at exactly ``prefix``.
 
         Returns the value it displaced, ``None`` when the prefix is new.
+        A replace keeps the first stored :class:`Prefix` object.
         """
         if not isinstance(prefix, Prefix):
             raise ConfigurationError("trie keys must be Prefix, got %r" % (prefix,))
@@ -87,6 +97,14 @@ class PatriciaTrie:
         bits = address.bits
         key = address.value
         length = prefix.length
+        if length == bits:
+            hosts = self._hosts
+            stored = hosts.get(key)
+            if stored is None:
+                hosts[key] = (prefix, value)
+                return None
+            hosts[key] = (stored[0], value)
+            return stored[1]
         node = self._root
         if node is None:
             self._root = _Node(key, length, prefix, value)
@@ -143,14 +161,18 @@ class PatriciaTrie:
 
     def delete(self, prefix):
         """Remove the exact ``prefix``; returns True if it was present."""
-        grand = parent = None
-        node = self._root
         address = prefix.address
-        if node is None or address.family != self._family:
+        if address.family != self._family:
             return False
         bits = address.bits
         key = address.value
         length = prefix.length
+        if length == bits:
+            return self._hosts.pop(key, None) is not None
+        grand = parent = None
+        node = self._root
+        if node is None:
+            return False
         while True:
             node_length = node.length
             if node_length > length or (key ^ node.key) >> (bits - node_length):
@@ -187,31 +209,34 @@ class PatriciaTrie:
     def clear(self):
         self._root = None
         self._size = 0
+        self._hosts = {}
 
     # -- queries ---------------------------------------------------------------
     def lookup_exact(self, prefix):
         """Return the value at exactly ``prefix`` or ``None``."""
-        node = self._find_node(prefix)
-        return node.value if node is not None else None
+        stored = self._find(prefix)
+        return stored[1] if stored is not None else None
 
     def __contains__(self, prefix):
-        return self._find_node(prefix) is not None
+        return self._find(prefix) is not None
 
-    def _find_node(self, prefix):
-        """The node storing a route for exactly ``prefix``, or ``None``."""
+    def _find(self, prefix):
+        """The stored ``(prefix, value)`` for exactly ``prefix``, or ``None``."""
         address = prefix.address
         if address.family != self._family:
             return None
         bits = address.bits
         key = address.value
         length = prefix.length
+        if length == bits:
+            return self._hosts.get(key)
         node = self._root
         while node is not None:
             node_length = node.length
             if node_length > length or (key ^ node.key) >> (bits - node_length):
                 return None
             if node_length == length:
-                return node if node.prefix is not None else None
+                return (node.prefix, node.value) if node.prefix is not None else None
             node = node.one if (key >> (bits - 1 - node_length)) & 1 else node.zero
         return None
 
@@ -230,6 +255,10 @@ class PatriciaTrie:
         if address.family != self._family:
             return None
         key = address.value
+        if length == bits:
+            stored = self._hosts.get(key)
+            if stored is not None:
+                return stored
         best = None
         node = self._root
         while node is not None:
@@ -246,16 +275,26 @@ class PatriciaTrie:
         return best.prefix, best.value
 
     def items(self):
-        """Yield ``(prefix, value)`` pairs in depth-first (sorted) order."""
+        """Yield ``(prefix, value)`` pairs, ascending by (value, length)."""
+        hosts = self._hosts
+        host_keys = sorted(hosts)
+        next_host = 0
         stack = [self._root] if self._root is not None else []
         while stack:
             node = stack.pop()
             if node.prefix is not None:
+                # Merge the sorted hosts into the walk: a host goes first iff
+                # its value is smaller (at equal values the node is shorter).
+                while next_host < len(host_keys) and host_keys[next_host] < node.key:
+                    yield hosts[host_keys[next_host]]
+                    next_host += 1
                 yield node.prefix, node.value
             if node.one is not None:
                 stack.append(node.one)
             if node.zero is not None:
                 stack.append(node.zero)
+        for key in host_keys[next_host:]:
+            yield hosts[key]
 
     def keys(self):
         for prefix, _ in self.items():

@@ -5,7 +5,8 @@ replace / delete / ``lookup_longest`` (address and ``Prefix`` keys) /
 ``lookup_exact`` / ``in`` and, after every step, checks ``len`` and the
 ``items()`` order.  That order is load-bearing: the map-cache sweep and
 ``invalidate_rloc`` delete victims in it, which feeds simulated event
-order and therefore every determinism digest.
+order and therefore every determinism digest.  It also checks that no
+host route sits in a trie node: hosts live in the exact-match table.
 """
 
 from hypothesis import settings
@@ -125,6 +126,15 @@ class TrieOracle(RuleBasedStateMachine):
         assert list(self.trie.items()) == expected
         assert list(self.trie.keys()) == [prefix for prefix, _ in expected]
         assert list(self.trie.values()) == [stored for _, stored in expected]
+
+    @invariant()
+    def host_routes_stay_out_of_the_descent(self):
+        bits = self.address_cls.bits
+        stack = [self.trie._root] if self.trie._root is not None else []
+        while stack:
+            node = stack.pop()
+            assert node.length < bits
+            stack.extend(child for child in (node.zero, node.one) if child is not None)
 
 
 class Ipv6TrieOracle(TrieOracle):

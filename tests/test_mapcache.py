@@ -144,7 +144,8 @@ class TestInvalidation:
 
 
 class TestLookupFastPath:
-    """Memoized trie resolution + single-entry hot-flow cache."""
+    """Memoized trie resolution: repeat lookups on one flow stay correct
+    across installs, invalidations and expiry."""
 
     def test_repeat_lookup_hits_the_hot_entry(self, cache):
         cache.install(VN, _eid(), _rloc())
@@ -158,8 +159,8 @@ class TestLookupFastPath:
         cache.install(VN, Prefix.parse("10.0.0.0/24"), _rloc("192.168.0.1"))
         addr = IPv4Address.parse("10.0.0.5")
         assert cache.lookup(VN, addr).rloc == _rloc("192.168.0.1")
-        # A more specific prefix changes the longest-prefix answer; the
-        # hot entry must not keep serving the /24.
+        # A more specific prefix changes the longest-prefix answer; a
+        # repeat lookup must not keep serving the /24.
         cache.install(VN, _eid("10.0.0.5/32"), _rloc("192.168.0.2"))
         assert cache.lookup(VN, addr).rloc == _rloc("192.168.0.2")
 

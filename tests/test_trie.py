@@ -165,6 +165,20 @@ class TestFamilies:
         assert len(trie) == 2
         assert trie.lookup_longest(A("10.0.0.1"))[1] == "host"
 
+    def test_host_table_ignores_colliding_ints_of_other_families(self, trie):
+        # The host table is keyed by the address int alone; the family
+        # check in front of it is what keeps MAC 5 and IPv6 ::5 out.
+        trie.insert(P("0.0.0.5/32"), "v4 host")
+        for probe in (MacAddress(5), IPv6Address(5)):
+            host = probe.to_prefix()
+            assert trie.lookup_longest(probe) is None
+            assert trie.lookup_longest(host) is None
+            assert trie.lookup_exact(host) is None
+            assert host not in trie
+            assert not trie.delete(host)
+        assert list(trie.items()) == [(P("0.0.0.5/32"), "v4 host")]
+        assert len(trie) == 1
+
 
 def _nodes(trie):
     stack = [trie._root] if trie._root is not None else []
@@ -185,11 +199,35 @@ class TestStructure:
         for victim in prefixes[::2] + prefixes[1::2]:
             assert trie.delete(victim)
             for node in _nodes(trie):
+                assert node.length < 32     # host routes never take a node
                 if node.prefix is None:
                     assert node.zero is not None and node.one is not None
                 for child in (node.zero, node.one):
                     assert child is None or child.length > node.length
         assert trie._root is None and len(trie) == 0
+
+    def test_host_only_trie_has_no_nodes(self, trie):
+        assert not trie
+        for index in range(1, 6):
+            trie.insert(Prefix(IPv4Address(0x0A000000 + index), 32), index)
+        assert trie._root is None
+        assert len(trie) == 5 and trie
+        for index in range(1, 6):
+            assert trie.delete(Prefix(IPv4Address(0x0A000000 + index), 32))
+        assert trie._root is None
+        assert len(trie) == 0 and not trie
+
+    def test_host_replace_keeps_the_first_prefix_object(self, trie):
+        first, second = P("10.0.0.1/32"), P("10.0.0.1/32")
+        assert first is not second
+        trie.insert(P("10.0.0.0/8"), "aggregate")
+        assert trie.insert(first, "a") is None
+        assert trie.insert(second, "b") == "a"
+        assert len(trie) == 2
+        stored = [prefix for prefix, _ in trie.items() if prefix.is_host]
+        assert len(stored) == 1 and stored[0] is first
+        assert trie.lookup_longest(A("10.0.0.1"))[0] is first
+        assert trie.lookup_exact(second) == "b"
 
     def test_split_node_is_never_exposed(self, trie):
         trie.insert(P("10.0.0.0/24"), "a")
@@ -218,6 +256,14 @@ class TestIteration:
         assert dict(trie.items()) == inserted
         assert set(trie.keys()) == set(inserted)
         assert sorted(trie.values()) == ["a", "b", "c"]
+
+    def test_host_routes_merge_in_ascending_value_then_length(self, trie):
+        order = ["9.255.255.255/32", "10.0.0.0/8", "10.0.0.0/24", "10.0.0.0/32",
+                 "10.0.0.1/32", "10.0.1.0/24", "10.0.1.0/32", "11.0.0.0/32"]
+        for text in reversed(order):
+            trie.insert(P(text), text)
+        assert [str(prefix) for prefix in trie.keys()] == order
+        assert list(trie.values()) == order
 
     def test_empty_iteration(self, trie):
         assert list(trie.items()) == []
