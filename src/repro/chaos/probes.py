@@ -7,7 +7,7 @@ endpoint pairs exchanges a small probe every ``interval_s``, and every
 probe that fails to arrive charges one interval of **blackhole time**
 to its pair.
 
-Two derived metrics feed the chaos benchmarks:
+Two derived metrics feed the chaos claims:
 
 * ``blackhole_s`` — total blackhole-seconds across all pairs: the sum
   over lost probes of the probe interval.  With N pairs dark for T

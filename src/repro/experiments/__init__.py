@@ -15,7 +15,8 @@
 
 Every module exposes a ``run_*`` function returning plain dict/list
 results plus a ``format_*`` helper that prints the same rows/series the
-paper's figure draws.  Benchmarks under ``benchmarks/`` wrap these.
+paper's figure draws.  The claim tests under ``tests/claims/`` wrap
+these.
 """
 
 from repro.experiments import reporting

@@ -4,9 +4,9 @@ Everything here is **off by default** and follows the fast-path knob
 contract from PRs 3–4: with no flags set, the simulator carries the
 shared disabled :data:`NULL_TRACER`, every histogram hook is ``None``,
 and no samples, spans or snapshots are ever allocated — the
-determinism digests and bench throughput are byte-identical to an
-uninstrumented run (``tests/test_obs_determinism.py`` and
-``benchmarks/test_bench_obs_overhead.py`` enforce both).
+determinism digests are byte-identical to an uninstrumented run
+(``tests/test_obs_determinism.py``, and ``python -m repro.tools.report
+--out-dir DIR`` prints the same pinned digests as a plain run).
 
 Typical use::
 
@@ -83,7 +83,7 @@ class Observability:
 
 
 def _find_sim(target):
-    for attr in ("sim", "net", "wireless"):
+    for attr in ("sim", "net", "wireless", "fabric"):
         obj = getattr(target, attr, None)
         if obj is None:
             continue
@@ -101,8 +101,8 @@ def enable(target, tracing=True, metrics=True, max_spans=None,
 
     ``target`` may be a workload, a wireless facade, or a bare network;
     its simulator is discovered via ``.sim`` (directly or through
-    ``.net`` / ``.wireless``).  Returns the :class:`Observability`
-    bundle for export calls.
+    ``.net`` / ``.wireless`` / ``.fabric``).  Returns the
+    :class:`Observability` bundle for export calls.
     """
     sim = _find_sim(target)
     if sim is None:

@@ -5,8 +5,8 @@ shape (``site_wireless``, ``wlc``+``aps``, ``sites``+``transit``,
 ``edges``+``borders``) instead of importing the fabric / wireless /
 multisite classes.  ``repro.sim.simulator`` imports :mod:`repro.obs`,
 so importing device modules from here would be circular; shape checks
-also mean any workload object exposing ``.wireless`` or ``.net`` can be
-instrumented without this module knowing about it.
+also mean any workload object exposing ``.wireless``, ``.net`` or
+``.fabric`` can be instrumented without this module knowing about it.
 
 What wiring does per device:
 
@@ -129,6 +129,8 @@ def instrument(obs, target):
         instrument(obs, target.wireless)
     elif hasattr(target, "net"):
         instrument(obs, target.net)
+    elif hasattr(target, "fabric"):
+        instrument(obs, target.fabric)
     else:
         raise TypeError(
             "don't know how to instrument %r" % type(target).__name__

@@ -19,9 +19,10 @@ them into one enumerable namespace:
 
 Snapshots are stamped with sim-time and appended to an in-memory
 timeseries (:attr:`MetricRegistry.samples`); :meth:`export_jsonl`
-writes the append-only file the CI smoke lane validates.  Periodic
-sampling rides a *daemon* event (:meth:`Simulator.schedule_daemon`) so
-an armed sampler never keeps ``settle()`` loops alive.
+writes the append-only file the CI report lane diffs across hash
+seeds.  Periodic sampling rides a *daemon* event
+(:meth:`Simulator.schedule_daemon`) so an armed sampler never keeps
+``settle()`` loops alive.
 """
 
 from __future__ import annotations

@@ -76,27 +76,6 @@ class EventProfile:
             "by_type": self.summary(top=top),
         }
 
-    def report(self, top=20):
-        """Human-readable table (the ``obs_report`` text view)."""
-        lines = [
-            "event profile: %d events, %.3fs wall, %.3fs sim"
-            % (self.events, self.wall_s, self.sim_advance_s),
-            "%-52s %10s %12s %12s %7s"
-            % ("event", "count", "wall_s", "sim_s", "wall%"),
-        ]
-        for row in self.summary(top=top):
-            lines.append(
-                "%-52s %10d %12.6f %12.6f %6.1f%%"
-                % (
-                    row["event"][:52],
-                    row["count"],
-                    row["wall_s"],
-                    row["sim_advance_s"],
-                    100.0 * row["wall_share"],
-                )
-            )
-        return "\n".join(lines)
-
     def __repr__(self):
         return "EventProfile(events=%d, types=%d, wall=%.3fs)" % (
             self.events, len(self.by_type), self.wall_s

@@ -9,7 +9,7 @@ from repro.core.errors import ConfigurationError
 
 
 def ledger_digest(ledger):
-    """Stable hex digest of a counter ledger (the determinism lane's unit).
+    """Stable hex digest of a counter ledger (the report tool's unit).
 
     Canonical JSON with sorted keys, so the digest depends on the
     ledger's content only — never on dict insertion order.

@@ -1,4 +1,4 @@
-"""Validate exported observability trace files (the CI obs-smoke gate).
+"""Validate exported observability trace files (the CI report lane's gate).
 
 Two formats are checked, selected by file extension:
 

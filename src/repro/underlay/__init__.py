@@ -10,15 +10,14 @@ overlay and are modelled faithfully:
   are reachable, and fall back to the border default route on outage
   (sec. 5.1).  A rebooting edge stays silent in the IGP, which is one of
   the two loop mitigations of sec. 5.2.
-* **Path cost/delay and ECMP** — encapsulated packets take shortest paths;
-  multiple equal-cost paths share load by flow entropy.
+* **Path cost/delay** — encapsulated packets take a shortest path;
+  :class:`UnderlayNetwork` forwards every flow on one such path and
+  does not spread load over equal-cost ones.
 """
 
 from repro.underlay.topology import Topology, TopologyLink
 from repro.underlay.linkstate import LinkStateRouter, LinkStateAdvertisement, IgpDomain
 from repro.underlay.network import UnderlayNetwork
-from repro.underlay.ecmp import EcmpSelector, flow_key
-from repro.underlay.macsec import MacsecChannel, MacsecKeyChain
 
 __all__ = [
     "Topology",
@@ -27,8 +26,4 @@ __all__ = [
     "LinkStateAdvertisement",
     "IgpDomain",
     "UnderlayNetwork",
-    "EcmpSelector",
-    "flow_key",
-    "MacsecChannel",
-    "MacsecKeyChain",
 ]

@@ -1,7 +1,7 @@
 """Chaos campus workload: a fabric surviving faults under live traffic.
 
-The robustness scenario behind the chaos bench and the determinism
-lane's third digest: a two-border campus with every recovery knob
+The robustness scenario behind the chaos claims and the report
+tool's third digest: a two-border campus with every recovery knob
 switched on — registration retry + periodic refresh, server-side
 registration TTL sweeps, edge border-failover — carrying continuous
 probe traffic and a trickle of wireless roams while a
@@ -18,7 +18,7 @@ What the run yields:
   come back empty;
 * a **counter ledger + digest** covering every device counter, the
   probe ledger and the chaos trace — the bit-identity surface the CI
-  chaos-smoke lane compares across two processes.
+  report lane compares across two processes.
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ class ChaosCampusWorkload:
 
         This is the chaos suite's bit-identity surface: two processes
         running the same seed and schedule must agree on every entry
-        (the CI chaos-smoke lane hashes it via :meth:`digest`).
+        (the CI report lane hashes it via :meth:`digest`).
         """
         fabric = self.fabric
         ledger = {"schedule.digest": self.schedule.digest()}
@@ -285,5 +285,5 @@ class ChaosCampusWorkload:
         return ledger
 
     def digest(self):
-        """Stable hex digest of the counter ledger (determinism lane)."""
+        """Stable hex digest of the counter ledger (``repro.tools.report``)."""
         return ledger_digest(self.counter_ledger())

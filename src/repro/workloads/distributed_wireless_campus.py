@@ -13,7 +13,7 @@ stress.
 Two usage modes mirror :mod:`repro.workloads.wireless_campus`:
 
 * :meth:`DistributedWirelessCampusWorkload.run` — steady-state mobility
-  with traffic overlapping the roams (the determinism lane's digest
+  with traffic overlapping the roams (the report tool's digest
   input);
 * :meth:`DistributedWirelessCampusWorkload.intersite_roam_storm` —
   every station crosses sites inside a short window, with traffic held
@@ -346,7 +346,7 @@ class DistributedWirelessCampusWorkload:
         (batching x session_cache x megaflow x packet_trains) must leave
         each of these values untouched, and two runs of the same seed
         under different ``PYTHONHASHSEED`` values must agree exactly
-        (the CI determinism lane hashes this via :meth:`digest`).
+        (the CI report lane hashes this via :meth:`digest`).
         """
         net = self.net
         ledger = {}
@@ -394,5 +394,5 @@ class DistributedWirelessCampusWorkload:
         return ledger
 
     def digest(self):
-        """Stable hex digest of the counter ledger (determinism lane)."""
+        """Stable hex digest of the counter ledger (``repro.tools.report``)."""
         return ledger_digest(self.counter_ledger())

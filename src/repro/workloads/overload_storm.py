@@ -1,7 +1,7 @@
 """Overload storm workload: a control plane drowning in requests.
 
-The robustness scenario behind the overload bench and the determinism
-lane's fourth digest: a small wired campus whose routing server is hit
+The robustness scenario behind the overload claim and the report
+tool's fourth digest: a small wired campus whose routing server is hit
 by a synthetic Map-Request storm at ~3x its service capacity (the
 ``overload`` chaos verb), while a high-rate resolution prober measures
 **goodput** — the fraction of its requests answered within an SLO —
@@ -359,5 +359,5 @@ class OverloadStormWorkload:
         return ledger
 
     def digest(self):
-        """Stable hex digest of the counter ledger (determinism lane)."""
+        """Stable hex digest of the counter ledger (``repro.tools.report``)."""
         return ledger_digest(self.counter_ledger())

@@ -1,21 +1,18 @@
 """Control-plane fast path: roam-storm throughput, before vs after.
 
-The ROADMAP scale-pass item: the roam-storm bench showed the
+The ROADMAP scale-pass item: the roam storm showed the
 reproduction's control plane serializing — one full RADIUS exchange per
 re-auth and one Map-Register message per (family x server) put the
 sustained ceiling near ~500 roams/s regardless of fabric size.  The
 fast path (batched registration pipeline + auth session cache) removes
 both serialization points without changing any converged state (the
 ``test_batched_registration`` property test is the correctness side of
-this bench).
+this claim).
 
-This bench runs the *same* storm with the flags off and on and asserts
-the headline acceptance number: >= 5x sustained roams/s.  The metrics
-land in ``BENCH_ctrlplane.json`` via the ``trajectory`` fixture so
-future PRs can detect perf regressions mechanically.
+This test runs the *same* storm with the flags off and on and asserts
+the headline acceptance number: >= 5x sustained roams/s, in simulated
+time, so the ratio is deterministic.
 """
-
-import pytest
 
 from repro.experiments.reporting import format_table
 from repro.workloads.wireless_campus import (
@@ -63,15 +60,12 @@ def _storm(fastpath, stations=_STATIONS, seed=23):
     }
 
 
-@pytest.mark.figure("ctrlplane-fastpath")
-def test_ctrlplane_fastpath_roam_storm_speedup(benchmark, report, trajectory):
-    rows_data = benchmark.pedantic(
-        lambda: [_storm(False), _storm(True)], rounds=1, iterations=1,
-    )
+def test_ctrlplane_fastpath_roam_storm_speedup():
+    rows_data = [_storm(False), _storm(True)]
     before, after = rows_data
     speedup = (after["sustained_roams_per_s"]
                / max(before["sustained_roams_per_s"], 1e-9))
-    report(format_table(
+    print(format_table(
         ["fast path", "sustained roams/s", "p50 ms", "p99 ms",
          "srv msgs/roam", "auth cache hits"],
         [["on" if r["fastpath"] else "off",
@@ -82,9 +76,6 @@ def test_ctrlplane_fastpath_roam_storm_speedup(benchmark, report, trajectory):
           r["auth_cache_hits"]] for r in rows_data],
         title="Roam storm (%d stations in %.2f s): fast path off vs on"
               % (_STATIONS, _WINDOW_S)))
-    trajectory("ctrlplane_roam_storm", {
-        "before": before, "after": after, "speedup": speedup,
-    })
 
     # Identical storm, identical outcome: every inter-edge roam
     # completed on both sides, with the same roam population.

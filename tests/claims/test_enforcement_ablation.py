@@ -1,4 +1,4 @@
-"""Sec. 5.3 ablation — ingress vs. egress policy enforcement.
+"""Sec. 5.3 ablation — ingress vs. egress policy enforcement (and fig. 13).
 
 Paper trade-off reproduced:
   * egress enforcement holds less ACL state fabric-wide;
@@ -8,22 +8,18 @@ Paper trade-off reproduced:
     change (fig. 13's staleness problem).
 """
 
-import pytest
-
 from repro.experiments.enforcement import run_ablation, staleness_after_group_move
 from repro.experiments.reporting import format_table
 
 
-@pytest.mark.figure("sec5.3")
-def test_enforcement_state_vs_bandwidth(benchmark, report):
-    results = benchmark.pedantic(lambda: run_ablation(flows=250),
-                                 rounds=1, iterations=1)
+def test_enforcement_state_vs_bandwidth():
+    results = run_ablation(flows=250)
     rows = []
     for mode in ("egress", "ingress"):
         r = results[mode]
         rows.append([mode, r["acl_rules_total"], r["policy_drops"],
                      r["denied_bytes_crossed_underlay"]])
-    report(format_table(
+    print(format_table(
         ["enforcement", "ACL rules (fabric)", "drops", "denied bytes over underlay"],
         rows, title="Sec 5.3: enforcement point trade-off"))
 
@@ -35,12 +31,11 @@ def test_enforcement_state_vs_bandwidth(benchmark, report):
     assert egress["policy_drops"] > 0 and ingress["policy_drops"] > 0
 
 
-@pytest.mark.figure("fig13")
-def test_group_change_staleness(benchmark, report):
-    outcome = benchmark.pedantic(staleness_after_group_move, rounds=1, iterations=1)
+def test_group_change_staleness():
+    outcome = staleness_after_group_move()
     rows = [[mode, result["new_policy_enforced_immediately"]]
             for mode, result in outcome.items()]
-    report(format_table(["enforcement", "fresh policy on first packet"],
-                        rows, title="Fig 13: policy freshness after a group move"))
+    print(format_table(["enforcement", "fresh policy on first packet"],
+                       rows, title="Fig 13: policy freshness after a group move"))
     assert outcome["egress"]["new_policy_enforced_immediately"]
     assert not outcome["ingress"]["new_policy_enforced_immediately"]

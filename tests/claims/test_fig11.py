@@ -8,30 +8,29 @@ Paper findings reproduced:
     unrelated to who needs the update).
 """
 
-import pytest
-
 from repro.experiments.handover import run_fig11
 from repro.experiments.reporting import format_cdf, format_table
-from repro.workloads.warehouse import WarehouseScenario
+from repro.workloads.warehouse import (
+    WarehouseBgpRun,
+    WarehouseLispRun,
+    WarehouseScenario,
+)
 
 
-@pytest.mark.figure("fig11")
-def test_fig11_handover_cdf(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_fig11(WarehouseScenario.ci_scale()), rounds=1, iterations=1
-    )
-    report(format_cdf(result["lisp_cdf"], "LISP handover delay (rel. to min)"))
-    report(format_cdf(result["bgp_cdf"], "BGP handover delay (rel. to min)"))
+def test_fig11_handover_cdf():
+    result = run_fig11(WarehouseScenario.ci_scale())
+    print(format_cdf(result["lisp_cdf"], "LISP handover delay (rel. to min)"))
+    print(format_cdf(result["bgp_cdf"], "BGP handover delay (rel. to min)"))
     lisp_box, bgp_box = result["lisp_box"], result["bgp_box"]
-    report(format_table(
+    print(format_table(
         ["protocol", "median", "q1", "q3", "p97.5"],
         [["LISP", "%.1f" % lisp_box.median, "%.1f" % lisp_box.q1,
           "%.1f" % lisp_box.q3, "%.1f" % lisp_box.whisker_high],
          ["BGP", "%.1f" % bgp_box.median, "%.1f" % bgp_box.q1,
           "%.1f" % bgp_box.q3, "%.1f" % bgp_box.whisker_high]],
         title="Fig 11 summary (delay relative to minimum)"))
-    report("median ratio BGP/LISP: %.1fx   IQR ratio: %.1fx"
-           % (result["median_ratio"], result["iqr_ratio"]))
+    print("median ratio BGP/LISP: %.1fx   IQR ratio: %.1fx"
+          % (result["median_ratio"], result["iqr_ratio"]))
 
     # Who wins, by roughly what factor: 4x..25x covers the paper's
     # 5x (abstract) to 10x (sec. 4.3) with simulator slack.
@@ -43,32 +42,24 @@ def test_fig11_handover_cdf(benchmark, report):
     assert len(result["bgp_samples_s"]) >= 100
 
 
-@pytest.mark.figure("fig11")
-def test_fig11_reactive_updates_only_affected_parties(benchmark, report):
+def test_fig11_reactive_updates_only_affected_parties():
     """The mechanism behind the gap: LISP touches the old edge + active
     talkers; BGP touches every peer."""
-    from repro.workloads.warehouse import WarehouseBgpRun, WarehouseLispRun
-
     scenario = WarehouseScenario(
         num_source_edges=60, num_hosts=600, moves_per_second=150,
         monitored_hosts=30, measure_duration_s=0.4, warmup_s=0.1,
     )
-
-    def run_both():
-        lisp = WarehouseLispRun(scenario)
-        lisp.run()
-        bgp = WarehouseBgpRun(scenario)
-        bgp.run()
-        return lisp, bgp
-
-    lisp, bgp = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    lisp = WarehouseLispRun(scenario)
+    lisp.run()
+    bgp = WarehouseBgpRun(scenario)
+    bgp.run()
     moves = max(lisp.fabric.routing_server.stats.mobility_registers, 1)
     lisp_notifies = lisp.fabric.routing_server.stats.notifies_sent
     bgp_pushes_per_move = bgp.reflector.updates_pushed / max(
         bgp.reflector.advertisements_received, 1
     )
-    report("LISP: %.2f notifies/move (affected party only);  "
-           "BGP: %.1f pushes/move (all peers)"
-           % (lisp_notifies / moves, bgp_pushes_per_move))
+    print("LISP: %.2f notifies/move (affected party only);  "
+          "BGP: %.1f pushes/move (all peers)"
+          % (lisp_notifies / moves, bgp_pushes_per_move))
     assert lisp_notifies / moves <= 1.5
     assert bgp_pushes_per_move >= scenario.num_source_edges * 0.9

@@ -7,31 +7,25 @@ Paper findings reproduced:
     users learn the destination is closed (sec. 5.3).
 """
 
-import pytest
-
 from repro.experiments.drops import run_fig12, transient_after_policy_update
 from repro.experiments.reporting import format_table
 
 
-@pytest.mark.figure("fig12")
-def test_fig12_permille_drops(benchmark, report):
-    results = benchmark.pedantic(lambda: run_fig12(days=5), rounds=1, iterations=1)
+def test_fig12_permille_drops():
+    results = run_fig12(days=5)
     rows = [[name, "%.4f" % permille] for name, permille in results.items()]
-    report(format_table(["device", "permille drops"], rows,
-                        title="Fig 12: permille hits on drop rules (5 days)"))
+    print(format_table(["device", "permille drops"], rows,
+                       title="Fig 12: permille hits on drop rules (5 days)"))
     assert results["VPN"] > results["Branch"] > results["Campus"]
     # Paper's bound: even the VPN gateway stays around 0.2 permille.
     assert results["VPN"] <= 0.25
     assert results["Campus"] >= 0.0
 
 
-@pytest.mark.figure("fig12")
-def test_policy_update_transient(benchmark, report):
-    transient, steady = benchmark.pedantic(
-        transient_after_policy_update, rounds=1, iterations=1
-    )
-    report("drop permille: transient after policy update = %.2f, steady = %.4f"
-           % (transient, steady))
+def test_policy_update_transient():
+    transient, steady = transient_after_policy_update()
+    print("drop permille: transient after policy update = %.2f, steady = %.4f"
+          % (transient, steady))
     # Sec. 5.3: "after a new policy is applied, there is a transient
     # period with an increase in drops" that then decays.
     assert transient > 20 * steady

@@ -1,26 +1,22 @@
 """Sec. 3.2.2 ablation — what the default route to the border buys.
 
 The paper installs a border-pointing default route specifically to kill
-the reactive protocol's initial packet loss.  This bench turns the
+the reactive protocol's initial packet loss.  This test turns the
 mechanism off and on and measures the difference.
 """
-
-import pytest
 
 from repro.experiments.initial_delay import run_ablation
 from repro.experiments.reporting import format_table
 
 
-@pytest.mark.figure("sec3.2.2")
-def test_default_route_eliminates_initial_loss(benchmark, report):
-    results = benchmark.pedantic(lambda: run_ablation(num_pairs=20),
-                                 rounds=1, iterations=1)
+def test_default_route_eliminates_initial_loss():
+    results = run_ablation(num_pairs=20)
     rows = [
         [label, r["sent"], r["delivered"], "%.0f%%" % (100 * r["loss_rate"])]
         for label, r in results.items()
     ]
-    report(format_table(["mode", "sent", "delivered", "loss"],
-                        rows, title="Sec 3.2.2: initial-connection loss"))
+    print(format_table(["mode", "sent", "delivered", "loss"],
+                       rows, title="Sec 3.2.2: initial-connection loss"))
 
     with_default = results["default-route"]
     without = results["drop-on-miss"]

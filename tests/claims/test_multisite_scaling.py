@@ -11,22 +11,13 @@ transit control-plane message counts.  The claims under test:
   endpoints — the transit map-server holds zero host routes.
 """
 
-import pytest
-
 from repro.experiments.multisite import run_site_scaling
 from repro.experiments.reporting import format_table
 
 
-@pytest.mark.figure("multisite-scaleout")
-def test_site_count_scaling(benchmark, report):
-    site_counts = (1, 2, 4, 8)
-    flows_per_site = 6
-    rows = benchmark.pedantic(
-        lambda: run_site_scaling(site_counts=site_counts,
-                                 flows_per_site=flows_per_site),
-        rounds=1, iterations=1,
-    )
-    report(format_table(
+def test_site_count_scaling():
+    rows = run_site_scaling(site_counts=(1, 2, 4, 8), flows_per_site=6)
+    print(format_table(
         ["sites", "flows", "median 1st pkt (s)", "p97.5 (s)",
          "transit msgs", "aggregates"],
         [[row["sites"], row["flows"],

@@ -1,4 +1,4 @@
-"""Overload trajectory bench: goodput with and without the armor.
+"""Overload armor claim: goodput with and without the armor.
 
 The same request storm — ~3x the routing server's service capacity for
 two seconds, with wired roams and short-TTL data traffic riding along —
@@ -6,7 +6,7 @@ is run twice: once against a bare fabric and once with the full
 overload-armor stack (bounded queue + priority admission, in-band
 backpressure, circuit breakers, stale-while-revalidate map-caches).
 
-The gated metric is ``goodput_ratio``: protected over unprotected
+The asserted metric is the goodput ratio: protected over unprotected
 resolution goodput, where goodput is the fraction of a high-rate
 prober's Map-Requests answered within a 60 ms SLO.  Unprotected, the
 server's backlog grows unboundedly for the whole storm and takes
@@ -16,8 +16,6 @@ is admitted is answered fast.  The armor's cost — shed requests — may
 delay convergence but never corrupt it: the healing oracle must come
 back clean in both runs.
 """
-
-import pytest
 
 from repro.chaos import stale_mappings
 from repro.experiments.reporting import format_table
@@ -37,12 +35,10 @@ def _run(protected):
     return workload, summary
 
 
-@pytest.mark.figure("overload-storm")
-def test_overload_storm_goodput(benchmark, report, trajectory):
-    (bare_wl, bare), (armored_wl, armored) = benchmark.pedantic(
-        lambda: (_run(False), _run(True)), rounds=1, iterations=1)
+def test_overload_storm_goodput():
+    (bare_wl, bare), (armored_wl, armored) = _run(False), _run(True)
     ratio = armored["goodput"] / bare["goodput"]
-    report(format_table(
+    print(format_table(
         ["mode", "goodput", "answered", "max_latency_s", "shed", "stale_served"],
         [["bare", "%.3f" % bare["goodput"],
           "%d/%d" % (bare["probes"]["probes_answered"],
@@ -56,15 +52,6 @@ def test_overload_storm_goodput(benchmark, report, trajectory):
           "%d" % armored["shed_total"], "%d" % armored["stale_served"]]],
         title="Overload storm at 3x saturation: goodput ratio %.2f" % ratio,
     ))
-    trajectory("overload_storm", {
-        "goodput_ratio": ratio,
-        "goodput_protected": armored["goodput"],
-        "goodput_unprotected": bare["goodput"],
-        "shed_total": armored["shed_total"],
-        "stale_served": armored["stale_served"],
-        "breaker_opens": armored["breaker_opens"],
-        "bp_overload_acks": armored["bp_overload_acks"],
-    }, file="overload")
 
     # The armor's headline claim: >= 2x goodput at 3x saturation.
     assert ratio >= 2.0

@@ -5,23 +5,17 @@ group structure — many small groups favour moving endpoints, few large
 groups favour editing the matrix; the crossover exists.
 """
 
-import pytest
-
 from repro.experiments.policy_update import run_comparison
 from repro.experiments.reporting import format_table
 
 
-@pytest.mark.figure("sec5.4")
-def test_policy_update_strategies(benchmark, report):
-    rows_data = benchmark.pedantic(
-        lambda: run_comparison(shapes=[(2, 24), (4, 12), (8, 6), (16, 3)]),
-        rounds=1, iterations=1,
-    )
+def test_policy_update_strategies():
+    rows_data = run_comparison(shapes=[(2, 24), (4, 12), (8, 6), (16, 3)])
     rows = [[r["num_groups"], r["endpoints_per_group"],
              r["move_endpoints_msgs"], r["edit_matrix_msgs"],
              "move" if r["move_wins"] else "edit"]
             for r in rows_data]
-    report(format_table(
+    print(format_table(
         ["groups", "endpoints/group", "move msgs", "edit msgs", "cheaper"],
         rows, title="Sec 5.4: signaling cost of the two update strategies"))
 

@@ -19,10 +19,9 @@ from repro.workloads.wireless_campus import (
 )
 
 
-@pytest.mark.figure("wireless-handover")
-def test_fabric_roam_flat_capwap_climbs(benchmark, report):
-    rows_data = benchmark.pedantic(run_roam_delay_sweep, rounds=1, iterations=1)
-    report(format_table(
+def test_fabric_roam_flat_capwap_climbs():
+    rows_data = run_roam_delay_sweep()
+    print(format_table(
         ["offered pps", "fabric roam ms", "CAPWAP roam ms", "CAPWAP data us"],
         [[r["rate_pps"], "%.2f" % (1e3 * r["fabric_roam_median_s"]),
           "%.2f" % (1e3 * r["capwap_roam_median_s"]),
@@ -42,10 +41,12 @@ def test_fabric_roam_flat_capwap_climbs(benchmark, report):
         assert r["fabric_roams"] > 0 and r["capwap_roams"] > 0
 
 
-def _storm(station_count, seed=17, fastpath_flags=None):
+def _storm(station_count, fastpath, seed=17):
     workload = WirelessCampusWorkload(
         WirelessCampusProfile(stations=station_count, num_edges=8,
-                              aps_per_edge=2, **(fastpath_flags or {})),
+                              aps_per_edge=2, batching=fastpath,
+                              session_cache=fastpath, megaflow=fastpath,
+                              packet_trains=fastpath),
         seed=seed,
     )
     workload.bring_up()
@@ -63,16 +64,11 @@ def _storm(station_count, seed=17, fastpath_flags=None):
     return summary
 
 
-@pytest.mark.figure("wireless-roam-storm")
-def test_roam_storm_scaling(benchmark, report, fastpath_flags):
-    # The CI smoke lane runs this with REPRO_FASTPATH both 0 and 1, so
-    # the storm invariants must hold with batching/session-cache on too.
+@pytest.mark.parametrize("fastpath", [False, True],
+                         ids=["fastpath_off", "fastpath_on"])
+def test_roam_storm_scaling(fastpath):
     counts = (100, 300, 600)
-    rows_data = benchmark.pedantic(
-        lambda: [(count, _storm(count, fastpath_flags=fastpath_flags))
-                 for count in counts],
-        rounds=1, iterations=1,
-    )
+    rows_data = [(count, _storm(count, fastpath)) for count in counts]
     rows = []
     for count, summary in rows_data:
         delay = summary["registration_delay"]
@@ -83,7 +79,7 @@ def test_roam_storm_scaling(benchmark, report, fastpath_flags):
             "%.1f" % (1e3 * delay["median_s"]),
             "%.1f" % (1e3 * delay["max_s"]),
         ])
-    report(format_table(
+    print(format_table(
         ["stations", "inter-edge roams", "registers/roam",
          "reg delay median ms", "max ms"],
         rows, title="Roam storm: every station moves within 1 s"))
@@ -99,7 +95,7 @@ def test_roam_storm_scaling(benchmark, report, fastpath_flags):
             2 * max(summary["inter_edge_roams"], 1)
     small = rows_data[0][1]["registration_delay"]["median_s"]
     large = rows_data[-1][1]["registration_delay"]["median_s"]
-    if fastpath_flags["session_cache"]:
+    if fastpath:
         # With the fast path on the auth queue never saturates: the
         # median stays bounded by the flush window + control RTTs
         # instead of growing with the storm (the fast path's point).

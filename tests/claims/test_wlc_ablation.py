@@ -5,21 +5,15 @@ centralized wireless model: the controller bottleneck under load, and
 triangular routing (path stretch).
 """
 
-import pytest
-
 from repro.experiments.reporting import format_table
 from repro.experiments.wlc_ablation import run_bottleneck_sweep, run_path_stretch
 
 
-@pytest.mark.figure("sec2-wlc")
-def test_wlc_bottleneck_vs_sda(benchmark, report):
-    rows_data = benchmark.pedantic(
-        lambda: run_bottleneck_sweep(rates=(2000, 12000, 36000)),
-        rounds=1, iterations=1,
-    )
+def test_wlc_bottleneck_vs_sda():
+    rows_data = run_bottleneck_sweep(rates=(2000, 12000, 36000))
     rows = [[r["rate_pps"], "%.0f" % (1e6 * r["wlc_median_s"]),
              "%.0f" % (1e6 * r["sda_median_s"])] for r in rows_data]
-    report(format_table(
+    print(format_table(
         ["offered pps", "WLC median us", "SDA median us"],
         rows, title="Centralized WLC vs SDA distributed data plane"))
 
@@ -32,9 +26,8 @@ def test_wlc_bottleneck_vs_sda(benchmark, report):
     assert high["wlc_median_s"] > 2 * high["sda_median_s"]
 
 
-@pytest.mark.figure("sec2-wlc")
-def test_wlc_triangular_routing(benchmark, report):
-    stretch = benchmark.pedantic(run_path_stretch, rounds=1, iterations=1)
-    report("WLC path stretch (AP -> controller -> AP vs direct): %.1fx" % stretch)
+def test_wlc_triangular_routing():
+    stretch = run_path_stretch()
+    print("WLC path stretch (AP -> controller -> AP vs direct): %.1fx" % stretch)
     # Hairpinning through an off-path controller costs real distance.
     assert stretch >= 1.5

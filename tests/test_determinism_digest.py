@@ -1,23 +1,27 @@
 """Cross-process determinism: digests survive PYTHONHASHSEED changes.
 
-The CI determinism lane diffs ``python -m repro.tools.determinism``
-output across hash seeds; this test is the same gate in-repo, so a
-reintroduced ``hash()`` dependence fails tier-1 before it ever reaches
-CI.  ``PYTHONHASHSEED`` is fixed at interpreter startup, so the tool
-must run in subprocesses.
+CI diffs ``python -m repro.tools.report`` output across hash seeds; this
+test is the same gate in-repo, so a reintroduced ``hash()`` dependence
+fails tier-1 before it ever reaches CI.  ``PYTHONHASHSEED`` is fixed at
+interpreter startup, so the tool must run in subprocesses.  One run is
+plain and the other carries the full observability bundle
+(``--out-dir``), which must not move a counter either.
 
 The digests are also pinned, so a deterministic behaviour change (an
 ``items()`` order slip, a reordered event) fails too, not only a
 hash-seed dependence.  They are identical on CPython 3.9, 3.11 and 3.12.
 To re-baseline on purpose, run
-``PYTHONPATH=src python -m repro.tools.determinism 20.0``, paste its
-four lines into ``PINNED`` and say in the commit why the simulated
-behaviour changed.
+``PYTHONPATH=src python -m repro.tools.report 20.0``, paste its four
+lines into ``PINNED`` and say in the commit why the simulated behaviour
+changed.
 """
 
+import json
 import os
 import subprocess
 import sys
+
+from repro.stats import ledger_digest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,20 +33,23 @@ overload_storm 73e17dca4a79f39ac8f1c3691e7ebc506d5aeb1d7608974b98df386061b67253
 """
 
 
-def _run(hash_seed):
+def _run(hash_seed, *options):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     result = subprocess.run(
-        [sys.executable, "-m", "repro.tools.determinism", "20.0"],
+        [sys.executable, "-m", "repro.tools.report", "20.0", *options],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
 
 
-def test_digests_identical_across_hash_seeds():
-    first = _run("1")
-    second = _run("31337")
-    assert first == second
-    assert first == PINNED
+def test_digests_identical_across_hash_seeds(tmp_path):
+    assert _run("1") == PINNED
+    assert _run("31337", "--out-dir", str(tmp_path)) == PINNED
+    # Each written ledger is the object its printed digest hashes.
+    for line in PINNED.splitlines():
+        name, digest = line.split()
+        with open(tmp_path / ("%s_ledger.json" % name)) as handle:
+            assert ledger_digest(json.load(handle)) == digest

@@ -17,53 +17,28 @@ Two promises from the observability PR are locked in here:
 from repro import obs
 from repro.stats import ledger_digest
 from repro.tools import check_trace
-from repro.tools.determinism import (
-    distributed_wireless_digest,
-    wireless_campus_digest,
-)
+from repro.tools.report import SCENARIOS
 from repro.workloads.distributed_wireless_campus import (
     DistributedWirelessCampusProfile,
     DistributedWirelessCampusWorkload,
 )
-from repro.workloads.wireless_campus import (
-    WirelessCampusProfile,
-    WirelessCampusWorkload,
-)
 
-
-def _distributed_digest_with_obs(duration_s, seed):
-    workload = DistributedWirelessCampusWorkload(
-        DistributedWirelessCampusProfile(
-            num_sites=2,
-            stations_per_site=5,
-            dwell_mean_s=10.0,
-            intersite_roam_fraction=0.4,
-            flow_interval_s=2.0,
-        ),
-        seed=seed,
-    )
-    obs.enable(workload, tracing=True, metrics=True, sample_interval_s=0.5)
-    workload.run(duration_s=duration_s)
-    return workload.digest()
+_build_wireless = SCENARIOS["wireless_campus"][0]
+_build_distributed = SCENARIOS["distributed_wireless_campus"][0]
 
 
 def test_distributed_digest_identical_with_obs_fully_on():
-    baseline = distributed_wireless_digest(duration_s=12.0, seed=23)
-    instrumented = _distributed_digest_with_obs(duration_s=12.0, seed=23)
-    assert instrumented == baseline
+    baseline = _build_distributed(seed=23)
+    baseline.run(duration_s=12.0)
+    workload = _build_distributed(seed=23)
+    obs.enable(workload, tracing=True, metrics=True, sample_interval_s=0.5)
+    workload.run(duration_s=12.0)
+    assert workload.digest() == baseline.digest()
 
 
 def test_wireless_campus_digest_identical_with_obs_fully_on():
-    baseline = wireless_campus_digest(duration_s=12.0, seed=23)
-    workload = WirelessCampusWorkload(
-        WirelessCampusProfile(
-            stations=12,
-            num_edges=4,
-            dwell_mean_s=10.0,
-            flow_interval_s=2.0,
-        ),
-        seed=23,
-    )
+    baseline = ledger_digest(_build_wireless(seed=23).run(duration_s=12.0))
+    workload = _build_wireless(seed=23)
     bundle = obs.enable(workload, tracing=True, metrics=True,
                         sample_interval_s=0.5)
     instrumented = ledger_digest(workload.run(duration_s=12.0))
