@@ -19,7 +19,6 @@ from repro.fabric.edge import EdgeRouter
 from repro.fabric.border import BorderRouter
 from repro.fabric.network import FabricNetwork, FabricConfig
 from repro.fabric.l2 import L2Gateway
-from repro.fabric.spec import build_from_spec, build_from_json
 
 __all__ = [
     "Endpoint",
@@ -32,6 +31,4 @@ __all__ = [
     "FabricNetwork",
     "FabricConfig",
     "L2Gateway",
-    "build_from_spec",
-    "build_from_json",
 ]

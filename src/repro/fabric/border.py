@@ -224,36 +224,33 @@ class BorderRouter:
 
     def _send_away_register(self, vn, eid, group, mac, initiated_at,
                             trace_parent=None):
-        span = self.sim.tracer.span("border_announce_away", device=self,
-                                    parent=trace_parent, eid=eid)
-        def deliver(home_rloc, vn=vn, eid=eid, group=group, mac=mac):
-            if home_rloc is None or home_rloc == self.transit_rloc:
-                span.finish(outcome="no_home")
-                return
-            self.counters.away_announcements_sent += 1
-            away = AwayRegister(
-                vn, eid, self.transit_rloc, group=group, mac=mac,
-                initiated_at=initiated_at)
-            away.trace_ctx = span.ctx
-            self._send_transit(home_rloc, away)
-            span.finish(outcome="sent")
-        self._transit_resolve(vn, eid.address, deliver)
+        self._announce_home("border_announce_away", vn, eid, trace_parent,
+                            lambda: AwayRegister(
+                                vn, eid, self.transit_rloc, group=group,
+                                mac=mac, initiated_at=initiated_at))
 
     def announce_return(self, vn, eid, trace_parent=None):
         """Tell the EID's home border the endpoint left this site again."""
         initiated_at = self.sim.now
         self._served_away.pop((int(vn), eid), None)
-        span = self.sim.tracer.span("border_announce_return", device=self,
+        self._announce_home("border_announce_return", vn, eid, trace_parent,
+                            lambda: AwayUnregister(
+                                vn, eid, self.transit_rloc,
+                                initiated_at=initiated_at))
+
+    def _announce_home(self, span_name, vn, eid, trace_parent, message):
+        """Send ``message()`` to the EID's home border once transit
+        resolution names it."""
+        span = self.sim.tracer.span(span_name, device=self,
                                     parent=trace_parent, eid=eid)
-        def deliver(home_rloc, vn=vn, eid=eid):
+        def deliver(home_rloc, expires_at=None):
             if home_rloc is None or home_rloc == self.transit_rloc:
                 span.finish(outcome="no_home")
                 return
             self.counters.away_announcements_sent += 1
-            unregister = AwayUnregister(
-                vn, eid, self.transit_rloc, initiated_at=initiated_at)
-            unregister.trace_ctx = span.ctx
-            self._send_transit(home_rloc, unregister)
+            announcement = message()
+            announcement.trace_ctx = span.ctx
+            self._send_transit(home_rloc, announcement)
             span.finish(outcome="sent")
         self._transit_resolve(vn, eid.address, deliver)
 
@@ -441,49 +438,38 @@ class BorderRouter:
         if self.megaflow is not None:
             self.megaflow.invalidate(eid)
 
-    def _mf_relay(self, entry, packet, inner):
-        """Replay a cached relay decision (decap already done)."""
+    def _relay(self, action, rloc, vn, group, packet, inner, key=None,
+               expires_at=None, template=None):
+        """Relay onto one leg, carrying the GPO group tag: ``ACT_ENCAP``
+        into the site, ``ACT_TRANSIT`` onto the transit.  A hit passes
+        its cached ``template``; the slow path encapsulates afresh and
+        memoizes under ``key`` until ``expires_at``, if given.
+        """
         train = packet.train
         if inner.ttl <= 1:
             self.counters.ttl_drops += train
             return
         inner.ttl -= 1
-        entry.template.apply(packet)
-        if entry.action == ACT_ENCAP:
+        if template is not None:
+            template.apply(packet)
+        else:
+            src = self.rloc if action == ACT_ENCAP else self.transit_rloc
+            if key is not None:
+                self.megaflow.install(key, MegaflowEntry(
+                    action, rloc=rloc,
+                    template=EncapTemplate(
+                        src, rloc, vn, group,
+                        src_port=flow_entropy_port(inner.src, inner.dst),
+                    ),
+                    expires_at=expires_at, dst=inner.dst,
+                ))
+            encapsulate(packet, src, rloc, vn, group)
+        if action == ACT_ENCAP:
             self.counters.relayed_to_edge += train
-            self.underlay.send(self.rloc, entry.rloc, packet)
+            self.underlay.send(self.rloc, rloc, packet)
         else:
             self.counters.transit_reencapsulated += train
-            self.transit.send(self.transit_rloc, entry.rloc, packet)
-
-    def _mf_install(self, key, action, outer_src, rloc, vn, src_group, inner,
-                    expires_at=None):
-        """Memoize a relay decision: ACT_ENCAP leaves on the site leg,
-        ACT_TRANSIT on the transit leg."""
-        self.megaflow.install(key, MegaflowEntry(
-            action, rloc=rloc,
-            template=EncapTemplate(
-                outer_src, rloc, vn, src_group,
-                src_port=flow_entropy_port(inner.src, inner.dst),
-            ),
-            expires_at=expires_at, dst=inner.dst,
-        ))
-
-    def _site_send(self, edge_rloc, vn, group, packet, inner, key=None):
-        """Relay into the site towards the serving edge.
-
-        ``key`` memoizes the decision under that megaflow key.
-        """
-        if inner.ttl <= 1:
-            self.counters.ttl_drops += packet.train
-            return
-        inner.ttl -= 1
-        self.counters.relayed_to_edge += packet.train
-        if key is not None:
-            self._mf_install(key, ACT_ENCAP, self.rloc, edge_rloc, vn, group,
-                             inner)
-        encapsulate(packet, self.rloc, edge_rloc, vn, group)
-        self.underlay.send(self.rloc, edge_rloc, packet)
+            self.transit.send(self.transit_rloc, rloc, packet)
 
     def _handle_data(self, packet):
         self.counters.packets_in += packet.train
@@ -499,11 +485,13 @@ class BorderRouter:
             key = (int(vn), int(src_group), dst)
             entry = self.megaflow.lookup(key, self.sim.now)
             if entry is not None:
-                self._mf_relay(entry, packet, inner)
+                self._relay(entry.action, entry.rloc, vn, src_group, packet,
+                            inner, template=entry.template)
                 return
         record = self.synced.lookup(vn, dst)
         if record is not None and record.rloc != self.rloc:
-            self._site_send(record.rloc, vn, src_group, packet, inner, key)
+            self._relay(ACT_ENCAP, record.rloc, vn, src_group, packet, inner,
+                        key)
             return
         if record is not None and record.rloc == self.rloc and self.transit is not None:
             # A record pointing at ourselves is either a delegated
@@ -532,9 +520,7 @@ class BorderRouter:
         if record is None or record.rloc == self.rloc:
             self.counters.no_route_drops += packet.train
             return False
-        self.counters.relayed_to_edge += packet.train
-        encapsulate(packet, self.rloc, record.rloc, vn, group)
-        self.underlay.send(self.rloc, record.rloc, packet)
+        self._relay(ACT_ENCAP, record.rloc, vn, group, packet, inner)
         return True
 
     # -- transit data plane ---------------------------------------------------------------
@@ -544,47 +530,23 @@ class BorderRouter:
         The away-table (per-endpoint, this site's own roamers only) wins
         over aggregate resolution; unresolved destinations buffer a
         bounded number of packets while the transit map-request runs.
-        An away hit or an aggregate hit is memoized under ``key``.
+        An away hit or a transit-cache answer is memoized under ``key``;
+        a packet that waited for resolution is not.
         """
         away = self._away.get((int(vn), inner.dst.to_prefix()))
         if away is not None:
-            self._transit_send(away, vn, src_group, packet, inner, key)
+            self._relay(ACT_TRANSIT, away, vn, src_group, packet, inner, key)
             return
-        entry = self.transit_cache.lookup(vn, inner.dst)
-        if entry is not None:
-            if entry.negative or entry.rloc == self.transit_rloc:
+
+        def relay(rloc, expires_at=None):
+            if rloc is None or rloc == self.transit_rloc:
                 # Known-unassigned space, or our own aggregate with no
                 # local registration: unreachable either way.
                 self.counters.transit_drops += packet.train
-                return
-            self._transit_send(entry.rloc, vn, src_group, packet, inner, key,
-                               expires_at=entry.expires_at)
-            return
-
-        def replay(rloc, vn=vn, group=src_group, packet=packet, inner=inner):
-            if rloc is None or rloc == self.transit_rloc:
-                self.counters.transit_drops += packet.train
             else:
-                self._transit_send(rloc, vn, group, packet, inner)
-        self._transit_resolve(vn, inner.dst, replay)
-
-    def _transit_send(self, remote_rloc, vn, group, packet, inner, key=None,
-                      expires_at=None):
-        """Re-encapsulate onto the transit, carrying the GPO group tag.
-
-        ``key`` memoizes the decision under that megaflow key, for as
-        long as the transit-cache entry it came from lives.
-        """
-        if inner.ttl <= 1:
-            self.counters.ttl_drops += packet.train
-            return
-        inner.ttl -= 1
-        self.counters.transit_reencapsulated += packet.train
-        if key is not None:
-            self._mf_install(key, ACT_TRANSIT, self.transit_rloc, remote_rloc,
-                             vn, group, inner, expires_at)
-        encapsulate(packet, self.transit_rloc, remote_rloc, vn, group)
-        self.transit.send(self.transit_rloc, remote_rloc, packet)
+                self._relay(ACT_TRANSIT, rloc, vn, src_group, packet, inner,
+                            None if expires_at is None else key, expires_at)
+        self._transit_resolve(vn, inner.dst, relay)
 
     def _on_transit_packet(self, packet):
         if self.failed:
@@ -619,16 +581,18 @@ class BorderRouter:
             # (it may rest on an aggregate, which is no reason to bounce
             # a packet back onto the transit): re-decide below.
             if entry is not None and entry.action == ACT_ENCAP:
-                self._mf_relay(entry, packet, inner)
+                self._relay(ACT_ENCAP, entry.rloc, vn, src_group, packet,
+                            inner, template=entry.template)
                 return
         record = self.synced.lookup(vn, inner.dst)
         if record is not None and record.rloc != self.rloc:
-            self._site_send(record.rloc, vn, src_group, packet, inner, key)
+            self._relay(ACT_ENCAP, record.rloc, vn, src_group, packet, inner,
+                        key)
             return
         # Not here: the endpoint may have roamed onward to a third site.
         away = self._away.get((int(vn), inner.dst.to_prefix()))
         if away is not None and away != self.transit_rloc:
-            self._transit_send(away, vn, src_group, packet, inner)
+            self._relay(ACT_TRANSIT, away, vn, src_group, packet, inner)
             return
         self.counters.transit_drops += packet.train
 
@@ -638,11 +602,13 @@ class BorderRouter:
 
         Resolution is aggregate-granular: the reply's EID is the covering
         site prefix, so one round trip resolves a whole site.  Thunks
-        queue (bounded) while a request for the same EID is in flight.
+        queue (bounded; when full, ``thunk(None)``) while a request for
+        the same EID is in flight.  A transit-cache answer also passes
+        the entry's expiry: ``thunk(rloc, expires_at)``.
         """
         cached = self.transit_cache.lookup(vn, address)
         if cached is not None:
-            thunk(None if cached.negative else cached.rloc)
+            thunk(None if cached.negative else cached.rloc, cached.expires_at)
             return
         key = (int(vn), address.to_prefix())
         pending = self._transit_pending.get(key)
@@ -650,7 +616,7 @@ class BorderRouter:
             if len(pending) < self.transit_pending_limit:
                 pending.append(thunk)
             else:
-                self.counters.transit_drops += 1
+                thunk(None)
             return
         self._transit_pending[key] = [thunk]
         self.counters.transit_requests_sent += 1

@@ -175,9 +175,9 @@ class EdgeRouter:
                                   serve_stale_s=config.serve_stale_s)
         self.acl = GroupAcl()
         self.counters = EdgeRouterCounters()
-        #: packets an endpoint sent while this edge was rebooting or
-        #: before its port was (re-)authorized.  A plain attribute, not a
-        #: ``Counters`` field, so no ledger or digest moves.
+        #: packets sent into this edge while it was rebooting, or before
+        #: the sender's port was (re-)authorized.  A plain attribute, not
+        #: a ``Counters`` field, so no ledger or digest moves.
         self.pre_auth_drops = 0
         self.l2_gateway = None    # set by repro.fabric.l2 when L2 services are on
 
@@ -463,6 +463,7 @@ class EdgeRouter:
     def receive_from_ap(self, packet):
         """Upstream station traffic, VXLAN-GPO-encapsulated at the AP."""
         if self.rebooting:
+            self.pre_auth_drops += packet.train
             return
         vxlan = decapsulate(packet)
         self.counters.packets_in += packet.train
@@ -546,42 +547,37 @@ class EdgeRouter:
         if self.acl.program(rules):
             self._mf_flush()
 
-    def _mf_hit_ingress(self, key, entry, packet, train):
-        """Replay a cached ingress decision; False falls to the slow path."""
+    def _replay(self, key, entry, packet, policy_applied=False):
+        """Execute a cached decision in the slow path's own steps; False
+        (entry dropped) when a per-packet liveness re-check fails."""
         action = entry.action
-        if action == ACT_ENCAP:
-            # Reachability can flip without a message reaching this edge
-            # (sec. 5.1); the slow path checks it per packet, so must we.
-            if not self.underlay.reachable(self.rloc, entry.rloc):
-                self.megaflow.drop(key)
-                return False
-            if entry.acl_key is not None:
-                self.acl.account(entry.acl_key, entry.acl_action, train)
-            entry.template.apply(packet)
-            self.counters.encapsulated += train
-            self.counters.packets_out += train
-            self.underlay.send(self.rloc, entry.rloc, packet)
-            return True
         if action == ACT_LOCAL:
             local = entry.local
             if local.endpoint.edge is not self:
                 # Wireless roam window: the endpoint left but our VRF
-                # entry lingers until the fig. 5 notify.  Same per-packet
-                # re-check the slow path's short-circuit does.
+                # entry lingers until the fig. 5 notify.
                 self.megaflow.drop(key)
                 return False
-            self.acl.account(entry.acl_key, entry.acl_action, train)
-            if entry.acl_action == PolicyAction.DENY:
-                self.counters.policy_drops += train
-                return True
-            self.counters.local_deliveries += train
-            self.sim.schedule(PORT_DELAY_S, self._deliver, local.endpoint, packet)
-            return True
-        # ACT_DROP: ingress-enforcement deny — the packet never leaves.
-        self.acl.account(entry.acl_key, entry.acl_action, train)
+            self._deliver_local(local, entry.acl_key, entry.acl_action,
+                                packet, policy_applied)
+        elif action == ACT_ENCAP:
+            # Reachability can flip with no message to this edge (sec. 5.1).
+            if not self.underlay.reachable(self.rloc, entry.rloc):
+                self.megaflow.drop(key)
+                return False
+            if entry.acl_key is not None:
+                self.acl.account(entry.acl_key, entry.acl_action, packet.train)
+            self._encap_to(entry.rloc, None, None, packet,
+                           template=entry.template)
+        else:
+            self._ingress_deny(entry.acl_key, entry.acl_action, packet.train)
+        return True
+
+    def _ingress_deny(self, acl_key, acl_action, train):
+        """Ingress-enforcement deny (sec. 5.3): the packet never leaves."""
+        self.acl.account(acl_key, acl_action, train)
         self.counters.policy_drops += train
         self.counters.ingress_policy_drops += train
-        return True
 
     def _forward_overlay(self, vn, src_group, packet):
         inner = packet.inner_ip()
@@ -594,7 +590,7 @@ class EdgeRouter:
         if mf is not None:
             key = (DIR_INGRESS, int(vn), int(src_group), dst)
             entry = mf.lookup(key, self.sim.now)
-            if entry is not None and self._mf_hit_ingress(key, entry, packet, train):
+            if entry is not None and self._replay(key, entry, packet):
                 return
 
         # Local destination: short-circuit through the egress stage.
@@ -603,13 +599,8 @@ class EdgeRouter:
         # local anymore; fall through to the overlay path instead.
         local = self.vrf.lookup_ip(vn, dst)
         if local is not None and local.endpoint.edge is self:
-            if mf is not None:
-                acl_key, acl_action = self.acl.action_for(src_group, local.group)
-                mf.install(key, MegaflowEntry(
-                    ACT_LOCAL, local=local,
-                    acl_key=acl_key, acl_action=acl_action, dst=dst,
-                ))
-            self._egress_deliver(vn, src_group, local, packet)
+            acl_key, acl_action = self.acl.action_for(src_group, local.group)
+            self._deliver_local(local, acl_key, acl_action, packet, key=key)
             return
 
         cache_entry = self.map_cache.lookup(vn, dst)
@@ -625,32 +616,28 @@ class EdgeRouter:
                 self._resolve(vn, dst)
             # Ingress enforcement ablation: we know the destination group
             # from the cached record, so policy can be applied here and
-            # denied traffic never crosses the underlay.
-            ingress_enforced = (self.enforcement == ENFORCE_INGRESS
-                                and cache_entry.group is not None)
-            if ingress_enforced:
-                if not self.acl.allows(src_group, cache_entry.group, train):
-                    self.counters.policy_drops += train
-                    self.counters.ingress_policy_drops += train
+            # denied traffic never crosses the underlay.  Charged once,
+            # before the reachability check that may fall back below.
+            applied = self.enforcement == ENFORCE_INGRESS
+            acl_key = acl_action = None
+            if applied and cache_entry.group is not None:
+                acl_key, acl_action = self.acl.action_for(
+                    src_group, cache_entry.group)
+                if acl_action == PolicyAction.DENY:
                     if mf is not None and not stale:
-                        acl_key, acl_action = self.acl.action_for(
-                            src_group, cache_entry.group)
                         mf.install(key, MegaflowEntry(
                             ACT_DROP, acl_key=acl_key, acl_action=acl_action,
                             expires_at=cache_entry.expires_at, dst=dst,
                         ))
+                    self._ingress_deny(acl_key, acl_action, train)
                     return
+                self.acl.account(acl_key, acl_action, train)
             target = cache_entry.rloc
             if self.underlay.reachable(self.rloc, target):
-                applied = self.enforcement == ENFORCE_INGRESS
                 # A stale decision is never megaflow-cached: staleness
                 # must be re-judged (and re-resolution re-triggered)
                 # per packet, like the miss path.
                 if mf is not None and not stale:
-                    acl_key = acl_action = None
-                    if ingress_enforced:
-                        acl_key, acl_action = self.acl.action_for(
-                            src_group, cache_entry.group)
                     mf.install(key, MegaflowEntry(
                         ACT_ENCAP, rloc=target,
                         template=EncapTemplate(
@@ -720,10 +707,14 @@ class EdgeRouter:
         self.counters.map_request_retries_sent += 1
         self._send_map_request(vn, dst, attempt + 1)
 
-    def _encap_to(self, target_rloc, vn, src_group, packet, applied=False):
-        encapsulate(packet, self.rloc, target_rloc, vn, src_group)
-        vxlan = packet.headers[2]
-        vxlan.policy_applied = applied
+    def _encap_to(self, target_rloc, vn, src_group, packet, applied=False,
+                  template=None):
+        """Encapsulate (a hit passes its cached ``template``) and send."""
+        if template is None:
+            encapsulate(packet, self.rloc, target_rloc, vn, src_group)
+            packet.headers[2].policy_applied = applied
+        else:
+            template.apply(packet)
         self.counters.encapsulated += packet.train
         self.counters.packets_out += packet.train
         self.underlay.send(self.rloc, target_rloc, packet)
@@ -738,47 +729,31 @@ class EdgeRouter:
             self._handle_control(packet.payload, packet)
 
     def _handle_data(self, packet):
-        outer_src = packet.outer().src
+        # Indexed, not Packet.outer(): one call less on the hit path.
+        outer_src = packet.headers[0].src
         vxlan = decapsulate(packet)
         vn, src_group = vxlan.vni, vxlan.group
         inner = packet.inner_ip()
         if inner is None:
-            self._handle_l2_frame(vn, src_group, packet, outer_src)
+            # Non-IP payloads (L2 service frames) go to the L2 gateway.
+            if self.l2_gateway is not None:
+                self.l2_gateway.handle_overlay_frame(vn, src_group, packet,
+                                                     outer_src)
             return
         dst = inner.dst
         train = packet.train
-        mf = self.megaflow
         key = None
-        if mf is not None:
+        if self.megaflow is not None:
             key = (DIR_EGRESS, int(vn), int(src_group), dst)
-            entry = mf.lookup(key, self.sim.now)
-            if entry is not None:
-                local = entry.local
-                if local.endpoint.edge is self:
-                    # The cached verdict only applies when this edge is
-                    # the enforcement point; an upstream "policy applied"
-                    # bit skips the check exactly like the slow path.
-                    if not vxlan.policy_applied:
-                        self.acl.account(entry.acl_key, entry.acl_action,
-                                         train)
-                        if entry.acl_action == PolicyAction.DENY:
-                            self.counters.policy_drops += train
-                            return
-                    self.counters.local_deliveries += train
-                    self.sim.schedule(PORT_DELAY_S, self._deliver,
-                                      local.endpoint, packet)
-                    return
-                mf.drop(key)
+            entry = self.megaflow.lookup(key, self.sim.now)
+            if entry is not None and self._replay(key, entry, packet,
+                                                  vxlan.policy_applied):
+                return
         local = self.vrf.lookup_ip(vn, dst)
         if local is not None and local.endpoint.edge is self:
-            if mf is not None:
-                acl_key, acl_action = self.acl.action_for(src_group, local.group)
-                mf.install(key, MegaflowEntry(
-                    ACT_LOCAL, local=local,
-                    acl_key=acl_key, acl_action=acl_action, dst=dst,
-                ))
-            self._egress_deliver(vn, src_group, local, packet,
-                                 policy_applied=vxlan.policy_applied)
+            acl_key, acl_action = self.acl.action_for(src_group, local.group)
+            self._deliver_local(local, acl_key, acl_action, packet,
+                                vxlan.policy_applied, key)
             return
         # Stale delivery: the endpoint is not here (it moved — possibly
         # with its VRF entry still lingering until the Map-Notify lands,
@@ -809,25 +784,28 @@ class EdgeRouter:
         self.counters.to_border_default += train
         self._encap_to(self.border_rloc, vn, src_group, packet)
 
-    def _handle_l2_frame(self, vn, src_group, packet, outer_src):
-        """Non-IP payloads (L2 service frames) go to the L2 gateway."""
-        if self.l2_gateway is not None:
-            self.l2_gateway.handle_overlay_frame(vn, src_group, packet, outer_src)
-
-    def _egress_deliver(self, vn, src_group, local, packet, policy_applied=False):
+    def _deliver_local(self, local, acl_key, acl_action, packet,
+                       policy_applied=False, key=None):
         """Second egress stage (fig. 4): group ACL, then the access port.
 
-        The check is skipped only when the VXLAN-GPO "policy applied" bit
-        says an upstream device (ingress-enforcement mode) already ran it.
+        The slow paths pass the verdict they just took (memoized under
+        ``key``), a hit its cached one.  The check is skipped only when
+        the VXLAN-GPO "policy applied" bit says an upstream device
+        (ingress-enforcement mode) already ran it.
         """
+        if key is not None:
+            self.megaflow.install(key, MegaflowEntry(
+                ACT_LOCAL, local=local, acl_key=acl_key,
+                acl_action=acl_action, dst=key[3],   # the key ends in dst
+            ))
         train = packet.train
         if not policy_applied:
-            if not self.acl.allows(src_group, local.group, train):
+            self.acl.account(acl_key, acl_action, train)
+            if acl_action == PolicyAction.DENY:
                 self.counters.policy_drops += train
                 return
         self.counters.local_deliveries += train
-        endpoint = local.endpoint
-        self.sim.schedule(PORT_DELAY_S, self._deliver, endpoint, packet)
+        self.sim.schedule(PORT_DELAY_S, self._deliver, local.endpoint, packet)
 
     def _deliver(self, endpoint, packet):
         if endpoint.edge is self:

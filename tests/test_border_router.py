@@ -1,5 +1,7 @@
 """Unit tests for the border router."""
 
+from repro.core.retry import RetryPolicy
+from repro.multisite import MultiSiteConfig, MultiSiteNetwork
 from repro.net.addresses import IPv4Address, Prefix
 from repro.net.packet import make_udp_packet
 from tests.conftest import admit_and_settle
@@ -93,3 +95,40 @@ def test_external_route_longest_match(small_fabric):
     border.add_external_route(vn, Prefix.parse("203.0.0.0/16"), label="dc")
     assert border.external_route_for(vn, IPv4Address.parse("203.0.113.5")) == "dc"
     assert border.external_route_for(vn, IPv4Address.parse("8.8.8.8")) == "internet"
+
+
+def _two_sites(**config):
+    """A user in each of two sites; nothing resolved over the transit."""
+    net = MultiSiteNetwork(MultiSiteConfig(
+        num_sites=2, edges_per_site=1, seed=3, **config))
+    net.define_vn("corp", 4098, "10.32.0.0/15")
+    net.define_group("users", 10, 4098)
+    a = net.create_endpoint("a", "users", 4098)
+    b = net.create_endpoint("b", "users", 4098)
+    net.admit(a, 0)
+    net.admit(b, 1)
+    net.settle()
+    return net, a, b, net.sites[0].borders[0]
+
+
+def test_full_transit_queue_counts_every_packet_it_drops():
+    # One train starts the transit map-request, the next two fill the
+    # pending queue, the last two find it full: 3 x 16 packets dropped.
+    net, a, b, border = _two_sites(transit_pending_limit=2)
+    for _ in range(5):
+        net.send(a, b, count=16, as_train=True)
+    net.settle()
+    assert a.packets_sent == 80
+    assert b.packets_received == 32
+    assert border.counters.transit_drops == 48
+
+
+def test_exhausted_transit_retries_drop_the_queued_train():
+    net, a, b, border = _two_sites(transit_retry=RetryPolicy(max_attempts=2))
+    net.partition_site(0)
+    net.send(a, b, count=16, as_train=True)
+    net.settle()
+    assert border.counters.transit_resolve_retries_sent == 2
+    assert border.counters.transit_resolve_timeouts == 1
+    assert border.counters.transit_drops == 16
+    assert b.packets_received == 0

@@ -306,6 +306,23 @@ def test_station_cannot_send_unassociated(wifi):
         sta.send(packet)
 
 
+def test_packets_sent_into_a_rebooting_edge_are_counted(wifi):
+    """The wireless twin of the wired edge's pre-auth accounting."""
+    net, wireless = wifi
+    src = _associate_and_settle(
+        net, wireless, wireless.create_station("src", "stations", VN), 0)
+    dst = _associate_and_settle(
+        net, wireless, wireless.create_station("dst", "stations", VN), 3)
+    edge = net.edges[0]
+    edge.reboot(duration_s=5.0)
+    net.send(src, dst, count=4)
+    net.run_for(1.0)
+    assert wireless.aps[0].counters.packets_encapsulated == 4
+    assert edge.pre_auth_drops == 4
+    assert edge.counters.packets_in == 0
+    assert dst.packets_received == 0
+
+
 def test_superseded_roam_chain_still_refreshes_skipped_edge(wifi):
     """Regression: A->B->A->C where the second visit to A is superseded
     mid-flight (never registered).  The server's fig. 5 notify then goes
