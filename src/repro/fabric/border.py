@@ -439,24 +439,33 @@ class BorderRouter:
             self.megaflow.invalidate(eid)
 
     def _relay(self, action, rloc, vn, group, packet, inner, key=None,
-               expires_at=None, template=None):
+               expires_at=None, entry=None):
         """Relay onto one leg, carrying the GPO group tag: ``ACT_ENCAP``
         into the site, ``ACT_TRANSIT`` onto the transit.  A hit passes
-        its cached ``template``; the slow path encapsulates afresh and
-        memoizes under ``key`` until ``expires_at``, if given.
+        its megaflow ``entry`` (template and underlay route, the route
+        re-resolved only once it is dead); the slow path encapsulates
+        and resolves afresh and memoizes under ``key`` until
+        ``expires_at``, if given.
         """
         train = packet.train
         if inner.ttl <= 1:
             self.counters.ttl_drops += train
             return
         inner.ttl -= 1
-        if template is not None:
-            template.apply(packet)
+        if action == ACT_ENCAP:
+            leg, src = self.underlay, self.rloc
         else:
-            src = self.rloc if action == ACT_ENCAP else self.transit_rloc
+            leg, src = self.transit, self.transit_rloc
+        if entry is not None:
+            entry.template.apply(packet)
+            route = entry.route
+            if not route.live:
+                route = entry.route = leg.route(src, rloc)
+        else:
+            route = leg.route(src, rloc)
             if key is not None:
                 self.megaflow.install(key, MegaflowEntry(
-                    action, rloc=rloc,
+                    action, rloc=rloc, route=route,
                     template=EncapTemplate(
                         src, rloc, vn, group,
                         src_port=flow_entropy_port(inner.src, inner.dst),
@@ -466,10 +475,9 @@ class BorderRouter:
             encapsulate(packet, src, rloc, vn, group)
         if action == ACT_ENCAP:
             self.counters.relayed_to_edge += train
-            self.underlay.send(self.rloc, rloc, packet)
         else:
             self.counters.transit_reencapsulated += train
-            self.transit.send(self.transit_rloc, rloc, packet)
+        leg.forward(route, packet)
 
     def _handle_data(self, packet):
         self.counters.packets_in += packet.train
@@ -486,7 +494,7 @@ class BorderRouter:
             entry = self.megaflow.lookup(key, self.sim.now)
             if entry is not None:
                 self._relay(entry.action, entry.rloc, vn, src_group, packet,
-                            inner, template=entry.template)
+                            inner, entry=entry)
                 return
         record = self.synced.lookup(vn, dst)
         if record is not None and record.rloc != self.rloc:
@@ -582,7 +590,7 @@ class BorderRouter:
             # a packet back onto the transit): re-decide below.
             if entry is not None and entry.action == ACT_ENCAP:
                 self._relay(ACT_ENCAP, entry.rloc, vn, src_group, packet,
-                            inner, template=entry.template)
+                            inner, entry=entry)
                 return
         record = self.synced.lookup(vn, inner.dst)
         if record is not None and record.rloc != self.rloc:

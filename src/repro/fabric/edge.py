@@ -175,10 +175,14 @@ class EdgeRouter:
                                   serve_stale_s=config.serve_stale_s)
         self.acl = GroupAcl()
         self.counters = EdgeRouterCounters()
-        #: packets sent into this edge while it was rebooting, or before
-        #: the sender's port was (re-)authorized.  A plain attribute, not
-        #: a ``Counters`` field, so no ledger or digest moves.
+        #: packets that arrived while this edge was rebooting, in either
+        #: direction, or before the sender's port was (re-)authorized.  A
+        #: plain attribute, not a ``Counters`` field, so no ledger or
+        #: digest moves.
         self.pre_auth_drops = 0
+        #: local deliveries lost because the endpoint left its port
+        #: within ``PORT_DELAY_S``; off-ledger like ``pre_auth_drops``.
+        self.port_drops = 0
         self.l2_gateway = None    # set by repro.fabric.l2 when L2 services are on
 
         self.rebooting = False
@@ -561,14 +565,18 @@ class EdgeRouter:
             self._deliver_local(local, entry.acl_key, entry.acl_action,
                                 packet, policy_applied)
         elif action == ACT_ENCAP:
-            # Reachability can flip with no message to this edge (sec. 5.1).
-            if not self.underlay.reachable(self.rloc, entry.rloc):
+            # Reachability can flip with no message to this edge (sec. 5.1);
+            # any such change ends the held route's epoch.
+            route = entry.route
+            if not route.live:
+                route = entry.route = self.underlay.route(self.rloc, entry.rloc)
+            if not route.reachable:
                 self.megaflow.drop(key)
                 return False
             if entry.acl_key is not None:
                 self.acl.account(entry.acl_key, entry.acl_action, packet.train)
             self._encap_to(entry.rloc, None, None, packet,
-                           template=entry.template)
+                           template=entry.template, route=route)
         else:
             self._ingress_deny(entry.acl_key, entry.acl_action, packet.train)
         return True
@@ -633,13 +641,14 @@ class EdgeRouter:
                     return
                 self.acl.account(acl_key, acl_action, train)
             target = cache_entry.rloc
-            if self.underlay.reachable(self.rloc, target):
+            route = self.underlay.route(self.rloc, target)
+            if route.reachable:
                 # A stale decision is never megaflow-cached: staleness
                 # must be re-judged (and re-resolution re-triggered)
                 # per packet, like the miss path.
                 if mf is not None and not stale:
                     mf.install(key, MegaflowEntry(
-                        ACT_ENCAP, rloc=target,
+                        ACT_ENCAP, rloc=target, route=route,
                         template=EncapTemplate(
                             self.rloc, target, vn, src_group,
                             policy_applied=applied,
@@ -648,7 +657,8 @@ class EdgeRouter:
                         acl_key=acl_key, acl_action=acl_action,
                         expires_at=cache_entry.expires_at, dst=dst,
                     ))
-                self._encap_to(target, vn, src_group, packet, applied=applied)
+                self._encap_to(target, vn, src_group, packet, applied=applied,
+                               route=route)
                 return
             # Sec. 5.1: target RLOC unreachable in the underlay — delete
             # the route and fall back to the border default.
@@ -708,8 +718,9 @@ class EdgeRouter:
         self._send_map_request(vn, dst, attempt + 1)
 
     def _encap_to(self, target_rloc, vn, src_group, packet, applied=False,
-                  template=None):
-        """Encapsulate (a hit passes its cached ``template``) and send."""
+                  template=None, route=None):
+        """Encapsulate (a hit passes its cached ``template``) and send,
+        along ``route`` when the caller already resolved it."""
         if template is None:
             encapsulate(packet, self.rloc, target_rloc, vn, src_group)
             packet.headers[2].policy_applied = applied
@@ -717,11 +728,16 @@ class EdgeRouter:
             template.apply(packet)
         self.counters.encapsulated += packet.train
         self.counters.packets_out += packet.train
-        self.underlay.send(self.rloc, target_rloc, packet)
+        if route is None:
+            self.underlay.send(self.rloc, target_rloc, packet)
+        else:
+            self.underlay.forward(route, packet)
 
     # ------------------------------------------------------------------ egress pipeline
     def _on_packet(self, packet):
         if self.rebooting:
+            if is_vxlan(packet):
+                self.pre_auth_drops += packet.train
             return
         if is_vxlan(packet):
             self._handle_data(packet)
@@ -772,11 +788,13 @@ class EdgeRouter:
         inner.ttl -= 1
         cache_entry = self.map_cache.lookup(vn, dst)
         if cache_entry is not None and not cache_entry.negative \
-                and cache_entry.rloc != self.rloc \
-                and self.underlay.reachable(self.rloc, cache_entry.rloc):
-            self.counters.reforwarded += train
-            self._encap_to(cache_entry.rloc, vn, src_group, packet)
-            return
+                and cache_entry.rloc != self.rloc:
+            route = self.underlay.route(self.rloc, cache_entry.rloc)
+            if route.reachable:
+                self.counters.reforwarded += train
+                self._encap_to(cache_entry.rloc, vn, src_group, packet,
+                               route=route)
+                return
         # No better information: default route (sec. 5.2's transient loop
         # arises exactly here when the border still points at us).
         if cache_entry is None:
@@ -810,6 +828,8 @@ class EdgeRouter:
     def _deliver(self, endpoint, packet):
         if endpoint.edge is self:
             endpoint.receive(packet, self.sim.now)
+        else:
+            self.port_drops += packet.train
 
     # ------------------------------------------------------------------ control plane
     def _handle_control(self, message, packet):

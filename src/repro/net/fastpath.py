@@ -44,8 +44,13 @@ away register / unregister /          that EID        the away table is exact-ma
 TTL release / adoption (border)                       (VN, host EID)
 map-cache or transit-cache entry      nothing         the entry inherited ``expires_at``; the
 ages out                                              slow path re-detects the expiry
-endpoint's radio left, RLOC           nothing         re-checked on every hit (``endpoint.edge``
-unreachable without a message here                    identity, underlay reachability)
+endpoint's radio left, RLOC           nothing         re-checked on every hit: ``endpoint.edge``
+unreachable without a message here                    identity; the entry's ``route.live``, a
+                                                      dead route re-resolved, then its
+                                                      ``reachable``
+underlay or IGP change (attach,       every held      ``UnderlayNetwork`` ends the route epoch;
+detach, announcement, link or node    ``Route`` dead  no entry goes, each hit re-resolves its
+state, any IGP reachable-stub set)                    own route once
 rule download (auth result, SXP)      nothing         ``GroupAcl.program`` reports no change;
 that repeats the verdicts held                        verdicts are all an entry keeps of a rule
 ------------------------------------  --------------  ------------------------------------------
@@ -86,16 +91,21 @@ DIR_EGRESS = 1   #: decision for decapsulated traffic arriving here
 class MegaflowEntry:
     """One memoized forwarding decision."""
 
-    __slots__ = ("action", "local", "rloc", "template", "acl_key",
+    __slots__ = ("action", "local", "rloc", "route", "template", "acl_key",
                  "acl_action", "expires_at", "dst")
 
-    def __init__(self, action, local=None, rloc=None, template=None,
-                 acl_key=None, acl_action=None, expires_at=None, dst=None):
+    def __init__(self, action, local=None, rloc=None, route=None,
+                 template=None, acl_key=None, acl_action=None,
+                 expires_at=None, dst=None):
         self.action = action
         #: the VRF LocalEndpointEntry for ACT_LOCAL
         self.local = local
         #: target RLOC for ACT_ENCAP / ACT_TRANSIT
         self.rloc = rloc
+        #: the underlay :class:`~repro.underlay.network.Route` to ``rloc``
+        #: (the OVS output port): a hit re-resolves it once it is not
+        #: ``live`` and never looks it up otherwise
+        self.route = route
         #: EncapTemplate for ACT_ENCAP / ACT_TRANSIT
         self.template = template
         #: (src group int, dst group int) pair the verdict was taken on

@@ -43,6 +43,7 @@ def _edge(obs, edge, name):
     obs.tracer.register_device(edge, name)
     obs.metrics.enroll(name, edge.counters)
     obs.metrics.gauge(name + ".pre_auth_drops", lambda: edge.pre_auth_drops)
+    obs.metrics.gauge(name + ".port_drops", lambda: edge.port_drops)
     _map_cache_gauges(obs, edge.map_cache, name + ".map_cache")
     _megaflow_gauges(obs, edge, name)
 

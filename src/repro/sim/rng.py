@@ -19,13 +19,13 @@ class SeededRng:
     def __init__(self, seed=0):
         self._random = random.Random(seed)
         self.seed = seed
+        #: the stdlib's bound method itself: a draw costs no frame here
+        self.random = self._random.random
 
     # -- pass-throughs -----------------------------------------------------
-    def random(self):
-        return self._random.random()
-
     def uniform(self, a, b):
-        return self._random.uniform(a, b)
+        # random.Random.uniform's own formula, one frame fewer per draw
+        return a + (b - a) * self.random()
 
     def randint(self, a, b):
         return self._random.randint(a, b)
@@ -44,8 +44,11 @@ class SeededRng:
 
     # -- derived distributions ----------------------------------------------
     def expovariate(self, rate):
-        """Exponential inter-arrival time with the given rate (events/s)."""
-        return self._random.expovariate(rate)
+        """Exponential inter-arrival time with the given rate (events/s).
+
+        random.Random.expovariate's own formula, one frame fewer per draw.
+        """
+        return -math.log(1.0 - self.random()) / rate
 
     def truncated_gauss(self, mu, sigma, low, high):
         """Normal sample clamped by resampling into ``[low, high]``.

@@ -103,6 +103,8 @@ class LinkStateRouter:
             self.routes = {}
             old = self.reachable_stubs
             self.reachable_stubs = {}
+            if old:
+                self._domain._stubs_changed()
             for rloc in old:
                 self._notify(rloc, False)
 
@@ -172,6 +174,8 @@ class LinkStateRouter:
                 new_stubs[rloc] = origin
         old = self.reachable_stubs
         self.reachable_stubs = new_stubs
+        if new_stubs.keys() != old.keys():
+            self._domain._stubs_changed()
         for rloc in new_stubs:
             if rloc not in old:
                 self._notify(rloc, True)
@@ -208,6 +212,7 @@ class IgpDomain:
         self.flood_hop_delay_s = flood_hop_delay_s
         self.routers = {}
         self.lsa_messages_sent = 0
+        self._watchers = []
 
     def add_router(self, name):
         if name in self.routers:
@@ -223,6 +228,20 @@ class IgpDomain:
             return self.routers[name]
         except KeyError:
             raise ConfigurationError("unknown IGP router %r" % name)
+
+    def watch(self, callback):
+        """Call ``callback()`` whenever any speaker's reachable-stub set
+        changes (what ``rloc_is_reachable`` answers from).
+
+        For whoever memoizes a speaker's answer, so its per-packet path
+        does not have to ask again.  Fired after the speaker's new set is
+        in place and before its reachability subscribers hear of it.
+        """
+        self._watchers.append(callback)
+
+    def _stubs_changed(self):
+        for callback in self._watchers:
+            callback()
 
     def start(self):
         """Originate initial LSAs everywhere (call once after building)."""

@@ -45,13 +45,38 @@ class UnderlayCounters(Counters):
 
 
 class _Attachment:
-    __slots__ = ("rloc", "node", "deliver", "announced")
+    __slots__ = ("rloc", "node", "deliver", "announced", "attached")
 
     def __init__(self, rloc, node, deliver):
         self.rloc = rloc
         self.node = node
         self.deliver = deliver
         self.announced = True
+        #: cleared by ``detach``, so an arrival probes the attachment
+        #: table only for a device that left while the packet flew
+        self.attached = True
+
+
+class Route:
+    """One resolved ``(from RLOC, to RLOC)`` pair, held until ``live`` drops.
+
+    ``dst`` is the destination's attachment, ``None`` for a detached or
+    silenced device (a blackhole); ``delay`` is ``None`` when no live
+    path joins the two nodes (a partition); ``reachable`` is what
+    :meth:`UnderlayNetwork.reachable` answers for the pair.  Every
+    attach, detach, ``set_announced``, topology change and IGP
+    reachability change sets ``live`` to False on every handed-out
+    route, so a holder re-validates with one attribute read.
+    """
+
+    __slots__ = ("dst", "delay", "hops", "reachable", "live")
+
+    def __init__(self, dst, delay, hops, reachable):
+        self.dst = dst
+        self.delay = delay
+        self.hops = hops
+        self.reachable = reachable
+        self.live = True
 
 
 class UnderlayNetwork:
@@ -83,11 +108,14 @@ class UnderlayNetwork:
         self._rng = SeededRng(seed)
         self._attachments = {}        # rloc -> _Attachment
         self._path_cache = {}         # (src node, dst node) -> (delay, hops) or None
-        #: (from rloc, to rloc) -> what ``_route`` resolved.  One epoch
-        #: lasts until an attach, detach, ``set_announced`` or topology
-        #: change, so the per-packet path is a single probe.
+        #: (from rloc, to rloc) -> the live :class:`Route`.  One epoch
+        #: lasts until an attach, detach, ``set_announced``, topology
+        #: change or IGP reachability change, so a send is a single
+        #: probe and a holder of the route needs none.
         self._routes = {}
         topology.watch(self._topology_changed)
+        if igp is not None:
+            igp.watch(self._invalidate_routes)
         self.counters = UnderlayCounters()
 
     # -- counter compatibility -----------------------------------------------------
@@ -134,15 +162,17 @@ class UnderlayNetwork:
         if not self.topology.has_node(node):
             raise ConfigurationError("unknown topology node %r" % node)
         self._attachments[rloc] = _Attachment(rloc, node, deliver)
-        self._routes.clear()
+        self._invalidate_routes()
         if self.igp is not None:
             self.igp.router(node).announce_stub(rloc)
 
     def detach(self, rloc):
         attachment = self._attachments.pop(rloc, None)
-        self._routes.clear()
-        if attachment is not None and self.igp is not None:
-            self.igp.router(attachment.node).withdraw_stub(rloc)
+        self._invalidate_routes()
+        if attachment is not None:
+            attachment.attached = False
+            if self.igp is not None:
+                self.igp.router(attachment.node).withdraw_stub(rloc)
 
     def attachment_node(self, rloc):
         attachment = self._attachments.get(rloc)
@@ -154,7 +184,7 @@ class UnderlayNetwork:
         if attachment is None:
             raise ConfigurationError("unknown RLOC %s" % rloc)
         attachment.announced = bool(announced)
-        self._routes.clear()
+        self._invalidate_routes()
         if self.igp is not None:
             router = self.igp.router(attachment.node)
             if announced:
@@ -171,6 +201,12 @@ class UnderlayNetwork:
     # -- path computation ---------------------------------------------------------------
     def _topology_changed(self):
         self._path_cache.clear()
+        self._invalidate_routes()
+
+    def _invalidate_routes(self):
+        """End the epoch: every route handed out so far is dead."""
+        for route in self._routes.values():
+            route.live = False
         self._routes.clear()
 
     def _compute_path(self, src_node, dst_node):
@@ -218,41 +254,38 @@ class UnderlayNetwork:
         path = self._path(src_node, dst_node)
         return path[0] if path else None
 
-    def _route(self, from_rloc, to_rloc):
-        """Resolve one RLOC pair and memoize it for the epoch.
+    def route(self, from_rloc, to_rloc):
+        """The live :class:`Route` from ``from_rloc`` to ``to_rloc``.
 
-        Returns ``(attachment, delay, hops, speaker)``: ``attachment`` is
-        ``None`` for a detached or silenced destination (a blackhole),
-        ``delay`` is ``None`` when no live path joins the two nodes (a
-        partition), ``speaker`` is the source node's IGP router (``None``
-        without an IGP).  An unattached source resolves to ``None`` and
-        is not memoized.
+        Resolved once per epoch and memoized; ``None`` (not memoized)
+        when ``from_rloc`` is not attached.  With an IGP, ``reachable``
+        is the source node's speaker's answer at resolve time, which
+        stays exact because any change to any speaker's reachable set
+        ends the epoch.
         """
+        route = self._routes.get((from_rloc, to_rloc))
+        if route is not None:
+            return route
         src = self._attachments.get(from_rloc)
         if src is None:
             return None
         dst = self._attachments.get(to_rloc)
         if dst is None or not dst.announced:
-            route = (None, None, 0, None)
+            route = Route(None, None, 0, False)
         else:
             delay, hops = self._path(src.node, dst.node) or (None, 0)
-            speaker = None
             if self.igp is not None:
-                speaker = self.igp.router(src.node)
-            route = (dst, delay, hops, speaker)
+                reachable = self.igp.router(src.node).rloc_is_reachable(to_rloc)
+            else:
+                reachable = delay is not None
+            route = Route(dst, delay, hops, reachable)
         self._routes[(from_rloc, to_rloc)] = route
         return route
 
     def reachable(self, from_rloc, to_rloc):
         """Is ``to_rloc`` reachable from ``from_rloc``'s attachment point?"""
-        route = (self._routes.get((from_rloc, to_rloc))
-                 or self._route(from_rloc, to_rloc))
-        if route is None or route[0] is None:
-            return False
-        speaker = route[3]
-        if speaker is not None:
-            return speaker.rloc_is_reachable(to_rloc)
-        return route[1] is not None
+        route = self.route(from_rloc, to_rloc)
+        return route is not None and route.reachable
 
     # -- delivery --------------------------------------------------------------------------
     def send(self, from_rloc, to_rloc, packet, processing_delay_s=0.0):
@@ -265,17 +298,23 @@ class UnderlayNetwork:
         """
         route = self._routes.get((from_rloc, to_rloc))
         if route is None:
-            route = self._route(from_rloc, to_rloc)
+            route = self.route(from_rloc, to_rloc)
             if route is None:
                 raise ConfigurationError(
                     "send from unattached RLOC %s" % from_rloc)
-        dst, delay, hops, _speaker = route
+        return self.forward(route, packet, processing_delay_s)
+
+    def forward(self, route, packet, processing_delay_s=0.0):
+        """``send`` along a route the caller already holds (and checked
+        is ``live``)."""
+        dst = route.dst
         if dst is None:
             # Destination device is detached or silenced: a blackhole,
             # not a routing failure.
             self.counters.dropped_packets += packet.train
             self.counters.blackholed += packet.train
             return False
+        delay = route.delay
         if delay is None:
             self.counters.dropped_packets += packet.train
             return False
@@ -283,6 +322,7 @@ class UnderlayNetwork:
         # (uniform link speeds in our canned topologies).  A packet train
         # serializes all of its packet-equivalents back to back, so the
         # single delivery event lands when the burst's last byte would.
+        hops = route.hops
         serialization = 0.0
         if hops:
             serialization = hops * (packet.size * packet.train * 8.0 / 10e9)
@@ -294,12 +334,13 @@ class UnderlayNetwork:
 
     def _deliver(self, attachment, packet):
         # Re-check liveness at arrival time: the device may have detached
-        # or gone silent while the packet was in flight.
-        live = self._attachments.get(attachment.rloc)
-        if live is None:
-            self.counters.dropped_packets += packet.train
-            self.counters.blackholed += packet.train
-            return
+        # (and maybe re-attached elsewhere) while the packet was in flight.
+        if not attachment.attached:
+            attachment = self._attachments.get(attachment.rloc)
+            if attachment is None:
+                self.counters.dropped_packets += packet.train
+                self.counters.blackholed += packet.train
+                return
         self.counters.delivered_packets += packet.train
         self.counters.bytes_delivered += packet.size * packet.train
-        live.deliver(packet)
+        attachment.deliver(packet)

@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.core.errors import ConfigurationError
+from repro.fabric import FabricConfig, FabricNetwork
 from tests.conftest import admit_and_settle
 
 
@@ -113,6 +114,26 @@ class TestDataPlane:
         assert entry is not None and entry.negative
         assert edge0.fib_occupancy() == 0
 
+    def test_local_delivery_lost_in_the_port_window_is_counted(
+            self, small_fabric):
+        net = small_fabric
+        registry = obs.enable(net, tracing=False).metrics
+        a = net.create_endpoint("a", "employees", 4098)
+        p = net.create_endpoint("p", "printers", 4098)
+        admit_and_settle(net, a, 0)
+        admit_and_settle(net, p, 0)
+        edge = net.edges[0]
+        net.send(a, p, count=2)
+        net.send(a, p, count=3, as_train=True)
+        net.depart(p)                # leaves before PORT_DELAY_S is up
+        net.settle()
+        assert edge.counters.local_deliveries == 5
+        assert p.packets_received == 0
+        assert edge.port_drops == 5
+        assert "port_drops" not in edge.counters.as_dict()
+        gauges = registry.snapshot()["gauges"]
+        assert gauges[edge.name + ".port_drops"] == 5
+
 
 class TestMobility:
     def test_roam_updates_location(self, populated_fabric):
@@ -178,6 +199,32 @@ class TestMobility:
         net.send(alice, bob, count=4)
         assert alice.edge.pre_auth_drops == 4
         assert bob.packets_received == 0
+
+    @pytest.mark.parametrize("megaflow", [False, True])
+    def test_data_reaching_a_rebooting_edge_is_counted(self, megaflow):
+        net = FabricNetwork(FabricConfig(num_edges=2, seed=7,
+                                         megaflow=megaflow))
+        net.define_vn("corp", 4098, "10.1.0.0/16")
+        net.define_group("employees", 10, 4098)
+        net.allow("employees", "employees")
+        a = net.create_endpoint("a", "employees", 4098)
+        b = net.create_endpoint("b", "employees", 4098)
+        admit_and_settle(net, a, 0)
+        admit_and_settle(net, b, 1)
+        for _ in range(2):           # resolved, then (megaflow) cached
+            net.send(a, b.ip)
+            net.settle()
+        source, target = net.edges
+        encapsulated = source.counters.encapsulated
+        # Still announced in the IGP, so edge 0 keeps encapsulating to it.
+        target.reboot(silent_in_igp=False)
+        net.send(a, b.ip, count=4)
+        net.send(a, b.ip, count=3, as_train=True)
+        net.run_for(1.0)
+        assert source.counters.encapsulated - encapsulated == 7
+        assert b.packets_received == 2
+        assert target.pre_auth_drops == 7
+        assert target.counters.packets_in == 0
 
     def test_smr_corrects_stale_sender(self, populated_fabric):
         net, alice, bob, printer = populated_fabric

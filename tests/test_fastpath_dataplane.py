@@ -519,6 +519,15 @@ class TestMegaflowSurvivesChurn:
                    for s in net.sites for b in s.borders) == 0
 
 
+class _NoProbes(dict):
+    """A route memo that fails any lookup (clearing it still works)."""
+
+    def get(self, *args):
+        raise AssertionError("a megaflow hit probed the route memo")
+
+    __getitem__ = get
+
+
 class TestBorderTransitLeg:
     def _two_sites(self):
         net = MultiSiteNetwork(MultiSiteConfig(
@@ -554,6 +563,28 @@ class TestBorderTransitLeg:
         assert border.transit_cache.hits == cache_hits
         # Aged out with the aggregate it was read from.
         assert border.megaflow.lookup(key, entry.expires_at) is None
+
+    def test_hits_never_probe_the_route_memo(self):
+        # Every hit kind that sends: the edge's ingress encap, the
+        # border's transit leg out of site 0 and its site leg into
+        # site 1.  Each holds its underlay route; a probe of any memo
+        # fails the test.
+        net, a, b, border = self._two_sites()
+        for _ in range(3):           # resolve, then cache every leg
+            net.send(a, b.ip, size=600)
+            net.settle()
+        devices = (net.sites[0].edges[0], border, net.sites[1].borders[0])
+        hits = [device.megaflow.hits for device in devices]
+        underlays = [site.underlay for site in net.sites]
+        underlays.append(net.transit_underlay)
+        for underlay in underlays:
+            underlay._routes = _NoProbes(underlay._routes)
+        net.send(a, b.ip, size=600, count=16, as_train=True)
+        net.send(a, b.ip, size=600, count=16, as_train=True)
+        net.settle()
+        assert b.packets_received == 35
+        assert [device.megaflow.hits - before
+                for device, before in zip(devices, hits)] == [2, 2, 2]
 
     def test_expiring_packet_installs_nothing(self):
         net, a, b, border = self._two_sites()
