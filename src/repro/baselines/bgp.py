@@ -129,7 +129,7 @@ class BgpRouteReflector:
             push_at = start
             if self.batch_interval_s > 0:
                 push_at = self._next_flush(peer, start)
-            self.sim.schedule(push_at - now, self._push, peer, update_template)
+            self.sim.post(push_at - now, self._push, peer, update_template)
         self._busy_until = start
         self.max_backlog_s = max(self.max_backlog_s, self._busy_until - now)
 

@@ -53,7 +53,7 @@ class ChaosEngine:
             raise ConfigurationError("chaos engine already armed")
         self._armed = True
         for fault in self.schedule:
-            self.net.sim.schedule(fault.at, self._inject, fault)
+            self.net.sim.post(fault.at, self._inject, fault)
 
     # ------------------------------------------------------------------ execution
     def _record(self, action, fault):
@@ -71,7 +71,7 @@ class ChaosEngine:
         if self.monitor is not None:
             self.monitor.mark()
         if fault.heal_after_s is not None:
-            self.net.sim.schedule(fault.heal_after_s, self._heal, fault)
+            self.net.sim.post(fault.heal_after_s, self._heal, fault)
 
     def _heal(self, fault):
         self._record("heal", fault)

@@ -631,8 +631,8 @@ class BorderRouter:
         request = MapRequest(vn, address.to_prefix(), reply_to=self.transit_rloc)
         self._send_transit(self.transit_map_server_rloc, request)
         if self.transit_retry is not None:
-            self.sim.schedule(self.transit_retry.delay_s(0, self._rng),
-                              self._check_transit_resolve, key, 0)
+            self.sim.post(self.transit_retry.delay_s(0, self._rng),
+                          self._check_transit_resolve, key, 0)
 
     def _check_transit_resolve(self, key, attempt):
         """Retry an unanswered transit map-request (chaos suite).
@@ -652,7 +652,7 @@ class BorderRouter:
         self.counters.transit_requests_sent += 1
         request = MapRequest(key[0], key[1], reply_to=self.transit_rloc)
         self._send_transit(self.transit_map_server_rloc, request)
-        self.sim.schedule(
+        self.sim.post(
             self.transit_retry.delay_s(attempt + 1, self._rng),
             self._check_transit_resolve, key, attempt + 1,
         )

@@ -223,7 +223,7 @@ class EdgeRouter:
         endpoint.edge = self
         endpoint.port = port
         roaming = endpoint.onboarded
-        self.sim.schedule(
+        self.sim.post(
             self.detection_delay_s, self._start_auth, endpoint, port, roaming, on_complete
         )
 
@@ -358,7 +358,7 @@ class EdgeRouter:
         self._pending_registers[register.nonce] = (
             server_rloc, register.eid_records, attempt,
         )
-        self.sim.schedule(
+        self.sim.post(
             self.register_retry.delay_s(attempt, self._rng),
             self._check_register, register.nonce,
         )
@@ -701,8 +701,8 @@ class EdgeRouter:
         )
         target = servers[attempt % len(servers)]
         self._send_control(target, request)
-        self.sim.schedule(MAP_REQUEST_TIMEOUT_S,
-                          self._check_resolution, vn, dst, attempt)
+        self.sim.post(MAP_REQUEST_TIMEOUT_S,
+                      self._check_resolution, vn, dst, attempt)
 
     def _check_resolution(self, vn, dst, attempt):
         key = (int(vn), dst)
@@ -823,7 +823,7 @@ class EdgeRouter:
                 self.counters.policy_drops += train
                 return
         self.counters.local_deliveries += train
-        self.sim.schedule(PORT_DELAY_S, self._deliver, local.endpoint, packet)
+        self.sim.post(PORT_DELAY_S, self._deliver, local.endpoint, packet)
 
     def _deliver(self, endpoint, packet):
         if endpoint.edge is self:
@@ -994,7 +994,7 @@ class EdgeRouter:
         self._ports = {}
         if silent_in_igp:
             self.underlay.set_announced(self.rloc, False)
-        self.sim.schedule(duration_s, self._reboot_done, silent_in_igp)
+        self.sim.post(duration_s, self._reboot_done, silent_in_igp)
 
     def _reboot_done(self, was_silent):
         self.rebooting = False

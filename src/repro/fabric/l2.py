@@ -140,7 +140,7 @@ class L2Gateway:
             payload=reply,
             size=64,
         )
-        self.edge.sim.schedule(20e-6, endpoint.receive, frame, self.edge.sim.now)
+        self.edge.sim.post(20e-6, endpoint.receive, frame, self.edge.sim.now)
 
     # -- MAC-keyed forwarding ---------------------------------------------------------
     def _forward_frame(self, vn, src_group, dst_mac, packet):
@@ -148,7 +148,7 @@ class L2Gateway:
         local = self.edge.vrf.lookup_mac(vn, dst_mac)
         if local is not None:
             self.counters.frames_delivered += 1
-            self.edge.sim.schedule(
+            self.edge.sim.post(
                 20e-6, local.endpoint.receive, packet, self.edge.sim.now
             )
             return
@@ -183,7 +183,7 @@ class L2Gateway:
             self.edge.counters.policy_drops += 1
             return
         self.counters.frames_delivered += 1
-        self.edge.sim.schedule(
+        self.edge.sim.post(
             20e-6, local.endpoint.receive, packet, self.edge.sim.now
         )
 
@@ -202,7 +202,7 @@ class L2Gateway:
             if exclude_identity is not None and entry.endpoint.identity == exclude_identity:
                 continue
             delivered += 1
-            self.edge.sim.schedule(
+            self.edge.sim.post(
                 20e-6, entry.endpoint.receive, packet.copy(), self.edge.sim.now
             )
         self.counters.frames_flooded_local += delivered

@@ -377,11 +377,16 @@ def control_packet(src_rloc, dst_rloc, message):
 
     Batched messages are charged their real size — the base message plus
     one :data:`RECORD_SIZE` per extra record — so bandwidth accounting
-    stays honest when the fast path aggregates registrations.
+    stays honest when the fast path aggregates registrations.  Like
+    :func:`~repro.net.packet.make_udp_packet`, it hands its fresh header
+    list to the packet without ``Packet.__init__``'s copy.
     """
     extra = getattr(message, "record_count", 1) - 1
-    return Packet(
-        headers=[IpHeader(src_rloc, dst_rloc), UdpHeader(LISP_PORT, LISP_PORT)],
-        payload=message,
-        size=CONTROL_MESSAGE_SIZE + RECORD_SIZE * extra,
-    )
+    packet = Packet.__new__(Packet)
+    packet.headers = [IpHeader(src_rloc, dst_rloc),
+                      UdpHeader(LISP_PORT, LISP_PORT)]
+    packet.payload = message
+    packet.size = CONTROL_MESSAGE_SIZE + RECORD_SIZE * extra
+    packet.meta = {}
+    packet.train = 1
+    return packet

@@ -113,8 +113,8 @@ class RegisterPacer:
         if breaker.allow():
             return False
         self.deferrals += 1
-        self.sim.schedule(max(breaker.remaining_s, self.retry.base_s),
-                          retry, *args)
+        self.sim.post(max(breaker.remaining_s, self.retry.base_s),
+                      retry, *args)
         return True
 
     def reset(self):

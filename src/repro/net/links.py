@@ -112,8 +112,8 @@ class Link:
         self.tx_bytes += packet.size
         # Delivery happens after serialization + propagation; the transmitter
         # frees up after serialization alone.
-        self._sim.schedule(tx_time + self.delay_s, self._arrive, packet)
-        self._sim.schedule(tx_time, self._transmit_next)
+        self._sim.post(tx_time + self.delay_s, self._arrive, packet)
+        self._sim.post(tx_time, self._transmit_next)
 
     def _arrive(self, packet):
         if self.up:

@@ -1,12 +1,19 @@
 """Packet model: simulated headers plus payload.
 
 Packets flow through the simulated fabric as Python objects, not byte
-strings — only the VXLAN-GPO encapsulation (see :mod:`repro.net.vxlan`)
-round-trips through real bytes, because the group-policy header layout is
-part of what the paper's design depends on.
+strings: every header on the per-packet path is a header object.  Real
+bytes exist only for the VXLAN-GPO header (see :mod:`repro.net.vxlan`),
+whose group-policy layout is part of what the paper's design depends on;
+they are packed once per :class:`~repro.net.vxlan.EncapTemplate` and by
+the codec, never per forwarded packet.
 
 A packet carries a stack of headers (outermost first) and an opaque
-payload.  Encapsulation pushes headers; decapsulation pops them.
+payload.  Encapsulation pushes headers; decapsulation pops them.  The
+stacks the fabric builds have fixed shapes — an overlay or control
+packet is ``[IP, UDP]`` or ``[IP]``, encapsulated under
+``[IP, UDP, VXLAN-GPO]`` — so the hot readers (:meth:`Packet.inner_ip`,
+:func:`repro.net.vxlan.decapsulate`) read those shapes by position, with
+exact type checks, and fall back to a search for anything else.
 """
 
 from __future__ import annotations
@@ -158,7 +165,19 @@ class Packet:
 
     def inner_ip(self):
         """The innermost IP header (the overlay one if encapsulated)."""
-        for header in reversed(self.headers):
+        headers = self.headers
+        if headers:
+            # Every overlay and control stack ends [..., IP, UDP] or
+            # [..., IP]: two exact-type index reads answer both.  Any
+            # other shape (or a header subclass) takes the scan.
+            last = headers[-1]
+            kind = type(last)
+            if kind is UdpHeader:
+                if len(headers) > 1 and type(headers[-2]) is IpHeader:
+                    return headers[-2]
+            elif kind is IpHeader:
+                return last
+        for header in reversed(headers):
             if isinstance(header, IpHeader):
                 return header
         return None
@@ -179,10 +198,17 @@ class Packet:
 
 
 def make_udp_packet(src_ip, dst_ip, src_port, dst_port, payload=None, size=1500):
-    """Convenience constructor for the common overlay data packet."""
-    packet = Packet(
-        headers=[IpHeader(src_ip, dst_ip, proto=IPPROTO_UDP), UdpHeader(src_port, dst_port)],
-        payload=payload,
-        size=size,
-    )
+    """Convenience constructor for the common overlay data packet.
+
+    Every overlay data packet is born here, so it skips ``Packet.__init__``
+    and its defensive ``list(headers)`` copy: the header list is built for
+    this packet alone.  The fields are exactly what ``Packet(...)`` sets.
+    """
+    packet = Packet.__new__(Packet)
+    packet.headers = [IpHeader(src_ip, dst_ip, IPPROTO_UDP),
+                      UdpHeader(src_port, dst_port)]
+    packet.payload = payload
+    packet.size = size
+    packet.meta = {}
+    packet.train = 1
     return packet

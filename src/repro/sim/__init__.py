@@ -12,10 +12,15 @@ Quick example::
 
     sim = Simulator()
     log = []
-    sim.schedule(1.0, lambda: log.append(sim.now))
-    sim.schedule(2.5, lambda: log.append(sim.now))
+    sim.post(1.0, lambda: log.append(sim.now))
+    timer = sim.schedule(2.5, lambda: log.append(sim.now))
+    sim.post(3.0, lambda: log.append(sim.now))
+    sim.cancel(timer)
     sim.run()
-    assert log == [1.0, 2.5]
+    assert log == [1.0, 3.0]
+
+``post`` is for events nobody cancels; ``schedule`` returns the
+:class:`Event` handle ``cancel`` needs.
 """
 
 from repro.sim.events import Event, EventQueue

@@ -7,12 +7,21 @@ regardless of heap internals.
 
 Entry layout
 ------------
-A heap entry is the tuple ``(time, seq, event)``.  ``heapq`` compares
-entries as tuples, in C: the float, then — on a tie — the int.  ``seq``
-is unique, so a comparison never reaches the third element and
-:class:`Event` needs, and defines, no ordering of its own.  Whoever pops
-an entry (``EventQueue.pop``, ``Simulator.run``) reads the time from the
-entry and everything else from the event.
+A heap entry has one of two shapes:
+
+* ``(time, seq, event)`` — a handle entry, pushed by :meth:`EventQueue.push`
+  (``Simulator.schedule``/``schedule_at``/``schedule_daemon``); the caller
+  keeps the :class:`Event` to cancel it.
+* ``(time, seq, callback, args)`` — a post, pushed by ``Simulator.post``
+  for a caller that keeps no handle.  No :class:`Event` exists, so a post
+  is never cancelled (never a tombstone) and never a daemon.
+
+``heapq`` compares entries as tuples, in C: the float, then — on a tie —
+the int.  ``seq`` comes from the one counter both shapes share and is
+unique, so a comparison never reaches the third element, the two shapes
+interleave in one total order, and :class:`Event` needs, and defines, no
+ordering of its own.  Whoever pops an entry (``EventQueue.pop``,
+``Simulator.run``) tells the shapes apart by length.
 
 Handle life-cycle
 -----------------
@@ -39,6 +48,11 @@ from repro.core.errors import SimulationError
 #: Event.state; PENDING is the falsy one, so "is this heap entry a
 #: tombstone" is a bare truth test in the event loop
 PENDING, CANCELLED, FIRED = 0, 1, 2
+
+
+def _is_tombstone(entry):
+    """A cancelled handle entry; a post (4-tuple) never is one."""
+    return len(entry) == 3 and entry[2].state == CANCELLED
 
 
 class Event:
@@ -88,7 +102,7 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of ``(time, seq, event)`` entries.
+    """A deterministic min-heap of handle and post entries (see above).
 
     Cancelled events are removed lazily on pop, but the queue does not
     let tombstones accumulate: when dead entries outnumber live ones
@@ -140,10 +154,19 @@ class EventQueue:
     def pop(self):
         """Remove and return the earliest live event.
 
-        Raises :class:`SimulationError` when the queue is empty.
+        A post comes back as a fresh, already fired :class:`Event`
+        (``fire()`` still runs it).  Raises :class:`SimulationError`
+        when the queue is empty.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)[2]
+            entry = heapq.heappop(self._heap)
+            if len(entry) == 4:
+                time, seq, callback, args = entry
+                event = Event(time, seq, callback, args)
+                event.state = FIRED
+                self._live -= 1
+                return event
+            event = entry[2]
             if event.state:
                 continue
             event.state = FIRED
@@ -176,7 +199,7 @@ class EventQueue:
         """
         heap = self._heap
         before = len(heap)
-        heap[:] = [entry for entry in heap if not entry[2].state]
+        heap[:] = [entry for entry in heap if not _is_tombstone(entry)]
         heapq.heapify(heap)
         reaped = before - len(heap)
         if reaped:
@@ -196,6 +219,6 @@ class EventQueue:
     def peek_time(self):
         """Return the time of the earliest live event, or ``None``."""
         heap = self._heap
-        while heap and heap[0][2].state:
+        while heap and _is_tombstone(heap[0]):
             heapq.heappop(heap)
         return heap[0][0] if heap else None

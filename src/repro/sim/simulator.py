@@ -6,9 +6,14 @@ Design notes
   fabric (link delay, server processing time, ...) are expressed in the
   same unit.
 * ``schedule(delay, fn, *args)`` is relative; ``schedule_at`` is absolute.
+  Both return the :class:`~repro.sim.events.Event` handle a caller needs
+  to cancel.  ``post(delay, fn, *args)`` is ``schedule`` for the caller
+  that keeps no handle — a packet delivery, a one-shot timer — and
+  allocates none: the heap entry carries the callback itself.
 * The simulator never advances past events: ``run(until=t)`` executes every
   event with time <= t and leaves ``now`` at t, so periodic samplers can be
-  interleaved with ``run`` windows.
+  interleaved with ``run`` windows.  A run stopped by ``max_events`` with
+  work still due by ``t`` leaves ``now`` at the last event it fired.
 * A trace hook receives ``(time, category, message)`` tuples; experiments
   use it to capture protocol-level happenings without coupling modules to
   any logging backend.
@@ -64,8 +69,9 @@ class Simulator:
         """
         if not delay >= 0:      # a NaN delay fails this too
             raise SimulationError("cannot schedule in the past (delay=%r)" % delay)
-        # EventQueue.push, inlined: this is the verb every packet and
-        # timer pays, and the extra frame measured 1.6% of wired_steady.
+        # EventQueue.push, inlined: every flow generator and periodic
+        # tick pays this verb, and the extra frame measured 1.6% of
+        # wired_steady when packets paid it too.
         queue = self._queue
         time = self.now + delay
         seq = next(queue._counter)
@@ -73,6 +79,22 @@ class Simulator:
         heappush(queue._heap, (time, seq, event))
         queue._live += 1
         return event
+
+    def post(self, delay, callback, *args):
+        """Schedule ``callback(*args)`` after ``delay`` seconds, no handle.
+
+        The same clock, the same ``(time, seq)`` order and the same
+        ``pending`` count as :meth:`schedule`, but the heap entry is the
+        4-tuple ``(time, seq, callback, args)`` and no :class:`Event` is
+        built: a post cannot be cancelled and is never a daemon.  Every
+        call site that would discard ``schedule``'s return value posts.
+        """
+        if not delay >= 0:      # a NaN delay fails this too
+            raise SimulationError("cannot schedule in the past (delay=%r)" % delay)
+        queue = self._queue
+        time = self.now + delay
+        heappush(queue._heap, (time, next(queue._counter), callback, args))
+        queue._live += 1
 
     def schedule_at(self, time, callback, *args):
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
@@ -110,6 +132,8 @@ class Simulator:
             runs until no non-daemon work remains.
         max_events:
             Safety valve: stop after this many events (``None`` = no cap).
+            A run the cap stops while events due by ``until`` remain
+            leaves the clock at the last event fired, never past one.
         profile:
             Optional :class:`repro.obs.profile.EventProfile`; when given,
             every callback is timed and the per-event-type breakdown
@@ -126,40 +150,54 @@ class Simulator:
         # code in any packet-heavy run — so it works on the queue's heap
         # directly: one peek serves both the stop check and the pop (no
         # peek_time/pop double walk), tombstones are skipped inline, and
-        # attribute lookups are hoisted out of the loop.
+        # attribute lookups are hoisted out of the loop.  A 4-tuple entry
+        # is a post (live, never a daemon, never a tombstone); a 3-tuple
+        # carries its Event.
         queue = self._queue
         heap = queue._heap
         clock = profile.clock if profile is not None else None
+        capped = False
         try:
             while heap:
-                time, _, event = heap[0]
-                if event.state:
-                    heappop(heap)
-                    continue
+                entry = heap[0]
+                if len(entry) == 4:
+                    time, _, callback, args = entry
+                    event = None
+                else:
+                    time, _, event = entry
+                    if event.state:
+                        heappop(heap)
+                        continue
+                    callback = event.callback
+                    args = event.args
                 if until is not None:
                     if time > until:
                         break
                 elif queue._live == 0:
                     break     # only daemons remain: the run is done
                 if max_events is not None and processed >= max_events:
+                    capped = True     # live work due by ``until`` remains
                     break
                 heappop(heap)
-                if event.daemon:
-                    queue._daemons -= 1
-                else:
+                if event is None:
                     queue._live -= 1
-                event.state = FIRED     # the handle is inert from here on
+                else:
+                    if event.daemon:
+                        queue._daemons -= 1
+                    else:
+                        queue._live -= 1
+                    event.state = FIRED     # the handle is inert from here on
                 if clock is None:
                     self.now = time
-                    event.callback(*event.args)
+                    callback(*args)
                 else:
                     advance = time - self.now
                     self.now = time
                     started = clock()
-                    event.callback(*event.args)
-                    profile.record(event.callback, clock() - started, advance)
+                    callback(*args)
+                    profile.record(callback, clock() - started, advance)
                 processed += 1
-            if until is not None and self.now < until:
+            if until is not None and not capped and self.now < until:
                 self.now = until
         finally:
             self._running = False

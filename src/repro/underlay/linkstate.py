@@ -257,7 +257,7 @@ class IgpDomain:
             if target is None:
                 continue
             self.lsa_messages_sent += 1
-            self.sim.schedule(
+            self.sim.post(
                 self.flood_hop_delay_s, target.receive_lsa, lsa, sender.name
             )
 

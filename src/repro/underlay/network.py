@@ -327,9 +327,12 @@ class UnderlayNetwork:
         if hops:
             serialization = hops * (packet.size * packet.train * 8.0 / 10e9)
         total = processing_delay_s + delay + serialization
-        if self.extra_delay_jitter_s:
-            total += self._rng.uniform(0, self.extra_delay_jitter_s)
-        self.sim.schedule(total, self._deliver, dst, packet)
+        jitter = self.extra_delay_jitter_s
+        if jitter:
+            # SeededRng.uniform(0, jitter) bit for bit (0 + (jitter - 0) * r),
+            # without its frame
+            total += jitter * self._rng.random()
+        self.sim.post(total, self._deliver, dst, packet)
         return True
 
     def _deliver(self, attachment, packet):

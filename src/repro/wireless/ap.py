@@ -75,8 +75,8 @@ class FabricAp:
             # Re-associate while the original onboarding is still in
             # flight: re-run the control-plane flow (idempotent) so the
             # caller gets an honest completion instead of a blind "ok".
-            self.sim.schedule(self.air_delay_s, self.wlc.on_associate,
-                              station, self, None, on_complete)
+            self.sim.post(self.air_delay_s, self.wlc.on_associate,
+                          station, self, None, on_complete)
             return
         previous = station.ap
         if previous is not None:
@@ -92,8 +92,8 @@ class FabricAp:
         station.ap = self
         station.associations += 1
         self.counters.associations += 1
-        self.sim.schedule(self.air_delay_s, self.wlc.on_associate,
-                          station, self, previous, on_complete)
+        self.sim.post(self.air_delay_s, self.wlc.on_associate,
+                      station, self, previous, on_complete)
 
     def drop_station(self, station):
         """Radio-layer detach (roam-away or disassociation)."""
@@ -107,8 +107,8 @@ class FabricAp:
         upstream direction pays, so the data-plane accounting is
         symmetric."""
         self.counters.packets_delivered += packet.train
-        self.sim.schedule(self.uplink_delay_s, self._radio_deliver,
-                          station, packet)
+        self.sim.post(self.uplink_delay_s, self._radio_deliver,
+                      station, packet)
 
     def _radio_deliver(self, station, packet):
         if self.stations.get(station.identity) is station:
@@ -124,7 +124,7 @@ class FabricAp:
         encapsulate(packet, self.address, self.edge.rloc,
                     station.vn, station.group)
         self.counters.packets_encapsulated += packet.train
-        self.sim.schedule(self.uplink_delay_s, self.edge.receive_from_ap, packet)
+        self.sim.post(self.uplink_delay_s, self.edge.receive_from_ap, packet)
 
     def __repr__(self):
         return "FabricAp(%s, edge=%s, stations=%d)" % (

@@ -116,7 +116,7 @@ class PoissonPairTraffic:
     def start(self):
         self.active = True
         for src, dst in self.pairs:
-            self.sim.schedule(
+            self.sim.post(
                 self.rng.expovariate(self.per_pair_rate), self._tick, src, dst
             )
 
@@ -127,7 +127,7 @@ class PoissonPairTraffic:
         if not self.active:
             return
         self._inject(src, dst)
-        self.sim.schedule(
+        self.sim.post(
             self.rng.expovariate(self.per_pair_rate), self._tick, src, dst
         )
 
@@ -157,7 +157,7 @@ class SteadyStream:
 
     def start(self):
         self.active = True
-        self.sim.schedule(self._offset_s, self._tick)
+        self.sim.post(self._offset_s, self._tick)
 
     def stop(self):
         self.active = False
@@ -170,6 +170,6 @@ class SteadyStream:
             packet = make_udp_packet(self.src.ip, self.dst.ip, 40000, 40001,
                                      size=self.packet_size)
             self.src.send(packet)
-        self.sim.schedule(self.interval_s, self._tick)
+        self.sim.post(self.interval_s, self._tick)
 
 

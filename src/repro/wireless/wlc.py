@@ -173,10 +173,15 @@ class FabricWlc:
         else:
             self.stats.associations += 1
         if (previous_ap is not None and previous_ap.edge is ap.edge
+                and station.edge is ap.edge
                 and ap.edge.vrf.lookup_identity(station.identity) is not None):
             # Intra-edge fast roam: the serving edge — and therefore the
             # registered RLOC, the VRF entry and the rules — are all
-            # unchanged.  No auth, no registration, no notify.
+            # unchanged.  No auth, no registration, no notify.  A radio
+            # that left for another edge and came back before the WLC
+            # processed either move (station.edge was cleared) re-onboards
+            # instead: install_wireless_endpoint re-binds the lingering
+            # entry.
             self.stats.intra_edge_roams += 1
             span.finish(outcome="intra_edge")
             if on_complete is not None:
@@ -360,8 +365,8 @@ class FabricWlc:
         self._pending_register[key] = (
             station, stale, t0, eid.family == "ipv4", nonce, reg_span)
         if self.register_retry is not None:   # chaos-suite resend timer
-            self.sim.schedule(self.register_retry.delay_s(attempt, self._rng),
-                              self._check_register_ack, key, nonce, attempt)
+            self.sim.post(self.register_retry.delay_s(attempt, self._rng),
+                          self._check_register_ack, key, nonce, attempt)
 
     def _check_register_ack(self, key, nonce, attempt):
         pending = self._pending_register.get(key)

@@ -220,7 +220,7 @@ class DistributedWirelessCampusWorkload:
             return
         if station.associated:
             self.wireless.roam(station, self._pick_ap(station))
-        self.net.sim.schedule(
+        self.net.sim.post(
             self._walk_rng.expovariate(1.0 / self.profile.dwell_mean_s),
             self._walk_step, station,
         )
@@ -228,7 +228,7 @@ class DistributedWirelessCampusWorkload:
     def _start_walks(self):
         self._walking = True
         for station in self.stations:
-            self.net.sim.schedule(
+            self.net.sim.post(
                 self._walk_rng.expovariate(1.0 / self.profile.dwell_mean_s),
                 self._walk_step, station,
             )

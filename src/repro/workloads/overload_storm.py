@@ -273,7 +273,7 @@ class OverloadStormWorkload:
         for index in range(profile.roams_during_storm):
             client = self.clients[index % len(self.clients)]
             at = profile.storm_start_s + step * (index + 1)
-            self.fabric.sim.schedule(at, self._roam, client)
+            self.fabric.sim.post(at, self._roam, client)
 
     def _roam(self, client):
         current = self.fabric.edges.index(client.edge)

@@ -158,9 +158,9 @@ class WarehouseLispRun:
         def tick():
             if host.ip is not None and source.attached:
                 self.fabric.send(source, host.ip, size=1500)
-            sim.schedule(interval, tick)
+            sim.post(interval, tick)
 
-        sim.schedule(offset, tick)
+        sim.post(offset, tick)
 
     # -- mobility ---------------------------------------------------------------------
     def _move_host(self, host):
@@ -259,7 +259,7 @@ class _BgpHostEdge:
         self.hosts[host.ip] = host
         if advertise:
             delay = self.detection_delay_s + self.auth_delay_s
-            self.sim.schedule(delay, self._advertise_host, host)
+            self.sim.post(delay, self._advertise_host, host)
 
     def _advertise_host(self, host):
         if self.hosts.get(host.ip) is host:
@@ -383,9 +383,9 @@ class WarehouseBgpRun:
             if rloc is not None:
                 packet = make_udp_packet(src_ip, host.ip, 40000, 40000, size=1500)
                 self.underlay.send(peer.rloc, rloc, packet)
-            sim.schedule(interval, tick)
+            sim.post(interval, tick)
 
-        sim.schedule(offset, tick)
+        sim.post(offset, tick)
 
     # -- mobility -------------------------------------------------------------------------
     def _move_host(self, host):

@@ -174,7 +174,7 @@ class WirelessCampusWorkload:
             return
         if station.associated:
             self.wireless.roam(station, self._other_ap(station))
-        self.fabric.sim.schedule(
+        self.fabric.sim.post(
             self._walk_rng.expovariate(1.0 / self.profile.dwell_mean_s),
             self._walk_step, station,
         )
@@ -182,7 +182,7 @@ class WirelessCampusWorkload:
     def _start_walks(self):
         self._walking = True
         for station in self.stations:
-            self.fabric.sim.schedule(
+            self.fabric.sim.post(
                 self._walk_rng.expovariate(1.0 / self.profile.dwell_mean_s),
                 self._walk_step, station,
             )

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.errors import EncapsulationError
+from repro.core.types import VNId
+from repro.lisp.messages import MapRequest, control_packet
 from repro.net.packet import (
     ArpPayload,
     BROADCAST_MAC,
@@ -62,6 +64,24 @@ def test_make_udp_packet_defaults():
     assert packet.size == 1500
     assert packet.ip.ttl == 64
     assert packet.find(UdpHeader).dst_port == 20
+
+
+def test_built_packets_skip_the_constructor_copy(monkeypatch):
+    """Data and control packets are built with their own header list;
+    neither constructor goes through ``Packet.__init__``."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Packet.__init__ on a built packet")
+
+    monkeypatch.setattr(Packet, "__init__", refuse)
+    data = make_udp_packet(IPv4Address(1), IPv4Address(2), 10, 20,
+                           payload="x", size=700)
+    control = control_packet(IPv4Address(3), IPv4Address(4),
+                             MapRequest(VNId(1), IPv4Address(5),
+                                        IPv4Address(3)))
+    assert (data.payload, data.size, data.meta, data.train) == ("x", 700, {}, 1)
+    assert control.meta == {} and control.train == 1
+    assert [type(h) for h in data.headers + control.headers] == [
+        IpHeader, UdpHeader, IpHeader, UdpHeader]
 
 
 def test_arp_payload_semantics():

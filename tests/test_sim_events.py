@@ -163,6 +163,46 @@ def test_cancel_daemon_keeps_tombstone_accounting():
     assert queue.tombstones == 1
 
 
+def test_queue_reads_posts_beside_handles():
+    """``Simulator.post`` leaves 4-tuple entries in the queue's heap;
+    ``peek_time``/``pop``/``compact``/``tombstones`` read both shapes."""
+    sim = Simulator()
+    queue = sim._queue
+    fired = []
+    first = sim.schedule(1.0, fired.append, "h0")
+    sim.post(1.0, fired.append, "p1")
+    sim.post(0.5, fired.append, "p2")
+    dead = sim.schedule(0.25, fired.append, "h3")
+    queue.cancel(dead)
+    assert len(queue) == 3 and queue.tombstones == 1
+    assert queue.peek_time() == 0.5 and queue.tombstones == 0
+    post = queue.pop()
+    assert (post.time, post.seq) == (0.5, 2) and "fired" in repr(post)
+    post.fire()
+    queue.cancel(post)          # a popped post is as inert as a handle
+    assert len(queue) == 2
+    queue.compact()
+    assert queue.pop() is first
+    queue.pop().fire()
+    assert fired == ["p2", "p1"] and not queue
+    with pytest.raises(SimulationError):
+        queue.pop()
+
+
+def test_compaction_keeps_posts():
+    sim = Simulator()
+    queue = sim._queue
+    handles = [sim.schedule(float(i % 5), lambda: None) for i in range(200)]
+    for i in range(50):
+        sim.post(float(i % 5), lambda: None)
+    for handle in handles:
+        queue.cancel(handle)
+    assert queue.compactions >= 1 and len(queue) == 50
+    queue.compact()
+    assert queue.tombstones == 0 and len(queue._heap) == 50
+    assert sim.run() == 50
+
+
 def test_ordering_never_reenters_python(monkeypatch):
     """Heap entries compare as ``(time, seq, ...)`` tuples in C; a
     comparison that reached the ``Event`` would be a Python call per

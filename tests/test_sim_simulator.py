@@ -110,11 +110,71 @@ def test_event_cancelling_itself_changes_no_count(sim, drain):
     assert sim.pending == 0 and sim._queue.tombstones == 0
 
 
-@pytest.mark.parametrize("verb", ["schedule", "schedule_at", "schedule_daemon"])
+@pytest.mark.parametrize("verb", ["schedule", "schedule_at", "schedule_daemon",
+                                  "post"])
 def test_nan_time_rejected(sim, verb):
     with pytest.raises(SimulationError):
         getattr(sim, verb)(float("nan"), lambda: None)
     assert sim.pending == 0 and sim._queue.daemons == 0
+
+
+def test_post_rejects_negative_delay(sim):
+    with pytest.raises(SimulationError):
+        sim.post(-0.1, lambda: None)
+    assert sim.pending == 0
+
+
+def test_post_shares_the_order_and_counts_of_schedule(sim):
+    log = []
+    assert sim.post(1.0, log.append, "p0") is None      # no handle
+    handle = sim.schedule(1.0, log.append, "s1")
+    sim.post(0.5, log.append, "p2")
+    sim.schedule_daemon(1.0, log.append, "d3")
+    sim.post(1.0, log.append, "p4")
+    assert sim.pending == 4 and sim._queue.tombstones == 0
+    assert sim._queue.daemons == 1
+    assert sim.step() and log == ["p2"] and sim.now == 0.5
+    sim.cancel(handle)
+    assert sim.pending == 2 and sim._queue.tombstones == 1
+    profile = EventProfile()
+    assert sim.run(profile=profile) == 3 and profile.events == 3
+    assert log == ["p2", "p0", "d3", "p4"]
+    assert sim.events_processed == 4 and sim.pending == 0
+
+
+def test_post_from_a_firing_callback_runs_after_it(sim):
+    log = []
+
+    def outer():
+        sim.post(0.0, log.append, "inner")
+        log.append("outer")
+
+    sim.post(1.0, outer)
+    sim.schedule(1.0, log.append, "peer")
+    sim.run(until=1.0)
+    assert log == ["outer", "peer", "inner"] and sim.now == 1.0
+
+
+def test_capped_run_until_never_passes_pending_work(sim):
+    """``run(until=, max_events=)`` stopped by the cap leaves the clock at
+    the last event fired: advancing to ``until`` would strand b in the
+    past and make the clock go backwards when it fires."""
+    log = []
+    sim.schedule(1.0, lambda: log.append(("a", sim.now)))
+    sim.schedule(2.0, lambda: log.append(("b", sim.now)))
+    assert sim.run(until=5.0, max_events=1) == 1
+    assert sim.now == 1.0 and sim.pending == 1
+    sim.schedule(0.5, lambda: log.append(("c", sim.now)))
+    sim.run()
+    assert log == [("a", 1.0), ("c", 1.5), ("b", 2.0)]
+
+
+def test_capped_run_until_advances_once_nothing_is_due(sim):
+    sim.schedule(1.0, lambda: None)
+    sim.post(9.0, lambda: None)
+    assert sim.run(until=5.0, max_events=1) == 1
+    assert sim.now == 5.0       # the cap was not what stopped the run
+    assert sim.run(until=6.0, max_events=0) == 0 and sim.now == 6.0
 
 
 def test_max_events_cap(sim):
