@@ -51,8 +51,6 @@ from repro.core import (
     ConfigurationError,
     AuthenticationError,
     PolicyError,
-    RoutingError,
-    NoRouteError,
 )
 from repro.sim import Simulator, SeededRng
 from repro.net import IPv4Address, IPv6Address, MacAddress, Prefix, PatriciaTrie
@@ -92,8 +90,6 @@ __all__ = [
     "ConfigurationError",
     "AuthenticationError",
     "PolicyError",
-    "RoutingError",
-    "NoRouteError",
     "Simulator",
     "SeededRng",
     "IPv4Address",

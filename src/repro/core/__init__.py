@@ -20,17 +20,13 @@ from repro.core.errors import (
     ConfigurationError,
     AuthenticationError,
     PolicyError,
-    RoutingError,
-    NoRouteError,
     EncapsulationError,
     SimulationError,
 )
 from repro.core.types import (
     VNId,
     GroupId,
-    RouterId,
     EndpointId,
-    PortId,
     DEFAULT_VN,
     UNKNOWN_GROUP,
 )
@@ -49,15 +45,11 @@ __all__ = [
     "ConfigurationError",
     "AuthenticationError",
     "PolicyError",
-    "RoutingError",
-    "NoRouteError",
     "EncapsulationError",
     "SimulationError",
     "VNId",
     "GroupId",
-    "RouterId",
     "EndpointId",
-    "PortId",
     "DEFAULT_VN",
     "UNKNOWN_GROUP",
 ]

@@ -7,36 +7,16 @@ the single shape they all share: subclasses list their field names in
 ``FIELDS`` and get zero-initialisation, ``as_dict`` and ``reset`` for
 free, so experiments can diff/aggregate any device's counters uniformly.
 
-Observability additions (all backwards-compatible):
-
-* ``METRIC_NAMES`` — a per-subclass map of legacy field name to its
-  normalized metric name (``wireless_in`` → ``wireless_packets_in``).
-  The legacy names stay the real instance attributes — hot paths and
-  the workload ledger digests are untouched — but each normalized name
-  is installed as an alias property, and :meth:`metric_dict` exports
-  under the normalized spelling for uniform registry enumeration.
-* instance tracking — :meth:`track_instances` arms a weakref roster of
-  every ``Counters`` built afterwards, which is how
-  ``MetricRegistry.auto_enroll`` finds counter blocks it was never
-  handed explicitly.
+``METRIC_NAMES`` is a per-subclass map of legacy field name to its
+normalized metric name (``wireless_in`` → ``wireless_packets_in``).  The
+legacy names stay the real instance attributes, so hot paths and the
+workload ledger digests are untouched; :meth:`metric_dict` exports under
+the normalized spelling, which is what the metric registry enumerates.
+A map that names an unknown field, or renames a field onto another real
+field, raises ``TypeError`` when the subclass is defined.
 """
 
 from __future__ import annotations
-
-import weakref
-
-
-def _alias(field):
-    """An alias property forwarding to the legacy instance attribute."""
-
-    def _get(self):
-        return getattr(self, field)
-
-    def _set(self, value):
-        setattr(self, field, value)
-
-    _get.__name__ = _set.__name__ = field
-    return property(_get, _set, doc="alias of %r" % field)
 
 
 class Counters:
@@ -53,34 +33,23 @@ class Counters:
     #: fields not listed here export under their own name unchanged
     METRIC_NAMES = {}
 
-    _subclasses = []
-    _track = False
-    _instances = []
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        Counters._subclasses.append(cls)
         for field, metric in cls.METRIC_NAMES.items():
             if field not in cls.FIELDS:
                 raise TypeError(
                     "%s.METRIC_NAMES maps unknown field %r"
                     % (cls.__name__, field)
                 )
-            if metric in cls.FIELDS:
-                if metric != field:
-                    raise TypeError(
-                        "%s.METRIC_NAMES alias %r shadows a real field"
-                        % (cls.__name__, metric)
-                    )
-                continue
-            if not hasattr(cls, metric):
-                setattr(cls, metric, _alias(field))
+            if metric != field and metric in cls.FIELDS:
+                raise TypeError(
+                    "%s.METRIC_NAMES name %r shadows a real field"
+                    % (cls.__name__, metric)
+                )
 
     def __init__(self):
         for field in self.FIELDS:
             setattr(self, field, 0)
-        if Counters._track:
-            Counters._instances.append(weakref.ref(self))
 
     def as_dict(self):
         return {field: getattr(self, field) for field in self.FIELDS}
@@ -89,24 +58,6 @@ class Counters:
         for field in self.FIELDS:
             setattr(self, field, 0)
 
-    # ------------------------------------------------------------------ observability
-    @classmethod
-    def metric_name(cls):
-        """Registry-facing name of this counter block (snake_case)."""
-        name = cls.__name__
-        out = []
-        for index, char in enumerate(name):
-            if char.isupper() and index and not name[index - 1].isupper():
-                out.append("_")
-            out.append(char.lower())
-        return "".join(out)
-
-    @classmethod
-    def metric_fields(cls):
-        """Normalized export names, in ``FIELDS`` order."""
-        names = cls.METRIC_NAMES
-        return tuple(names.get(field, field) for field in cls.FIELDS)
-
     def metric_dict(self):
         """Like :meth:`as_dict`, but keyed by normalized metric names."""
         names = self.METRIC_NAMES
@@ -114,30 +65,6 @@ class Counters:
             names.get(field, field): getattr(self, field)
             for field in self.FIELDS
         }
-
-    @classmethod
-    def known_subclasses(cls):
-        return tuple(Counters._subclasses)
-
-    @classmethod
-    def track_instances(cls, on=True):
-        """Arm (or disarm) the weakref roster of future instances."""
-        Counters._track = on
-        if not on:
-            Counters._instances = []
-
-    @classmethod
-    def tracked_instances(cls):
-        """Live tracked instances, in creation order (dead refs pruned)."""
-        alive = []
-        refs = []
-        for ref in Counters._instances:
-            counters = ref()
-            if counters is not None:
-                alive.append(counters)
-                refs.append(ref)
-        Counters._instances = refs
-        return alive
 
     def __repr__(self):
         nonzero = ", ".join(

@@ -3,7 +3,7 @@
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything coming from the fabric with a single ``except`` clause while
 still being able to discriminate the failure domain (configuration, policy,
-routing, ...).
+simulation, ...).
 """
 
 
@@ -32,19 +32,6 @@ class PolicyError(ReproError):
 
     Examples: referencing an unknown group in the connectivity matrix,
     assigning an endpoint to a group that does not exist.
-    """
-
-
-class RoutingError(ReproError):
-    """Base class for routing/control-plane failures."""
-
-
-class NoRouteError(RoutingError):
-    """Raised when a lookup finds no route and no fallback applies.
-
-    In the SDA data plane a miss normally falls back to the default route
-    towards the border; this error signals the *absence* of that fallback
-    (e.g. the border itself has no route to the destination).
     """
 
 

@@ -100,27 +100,11 @@ DEFAULT_VN = VNId(1)
 UNKNOWN_GROUP = GroupId(0)
 
 
-class RouterId(str):
-    """Human-readable unique router name (e.g. ``"edge-3"``).
-
-    A plain ``str`` subclass: it keeps log output readable while still
-    giving type hints meaning.
-    """
-
-    __slots__ = ()
-
-
 class EndpointId(str):
     """Unique endpoint identity as known to the policy server.
 
     This models the RADIUS identity (username, device certificate CN or MAC
     for MAB) — *not* the endpoint's IP, which is assigned later by DHCP.
     """
-
-    __slots__ = ()
-
-
-class PortId(int):
-    """A switch port index on a router."""
 
     __slots__ = ()

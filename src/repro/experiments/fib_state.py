@@ -55,15 +55,6 @@ def state_reduction_vs_proactive(workload):
     return 1.0 - sda_total / proactive_total
 
 
-def run_headline(weeks=1, time_scale=12.0, seed=5):
-    """Overall state reduction for both buildings (paper: "up to 70%")."""
-    out = {}
-    for key, profile in (("A", BUILDING_A), ("B", BUILDING_B)):
-        workload = run_building(profile, weeks=weeks, time_scale=time_scale, seed=seed)
-        out[key] = state_reduction_vs_proactive(workload)
-    return out
-
-
 def weekly_pattern(workload):
     """Fig. 9 checkpoints: border day>night contrast and edge flatness.
 

@@ -52,10 +52,6 @@ class DhcpPool:
             self._released.append(address)
         return address
 
-    def lease_of(self, identity):
-        return self._leases.get(identity)
-
-
 class DhcpServer:
     """All pools, keyed by VN; also hands out derived IPv6 addresses.
 

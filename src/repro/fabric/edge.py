@@ -102,7 +102,7 @@ class EdgeRouterCounters(Counters):
 
     # Normalized metric-registry spellings for the ad-hoc legacy names;
     # the legacy attributes stay real (hot paths and the workload
-    # ledger digests read them), the normalized names are aliases.
+    # ledger digests read them), only metric_dict() uses these names.
     METRIC_NAMES = {
         "wireless_in": "wireless_packets_in",
         "encapsulated": "packets_encapsulated",

@@ -307,22 +307,20 @@ class FabricNetwork:
 
     def allow(self, src_group, dst_group, symmetric=True):
         """Whitelist a group pair in the connectivity matrix."""
-        a = self.plan.group_by_name(src_group) if isinstance(src_group, str) else None
-        b = self.plan.group_by_name(dst_group) if isinstance(dst_group, str) else None
-        src = a.group_id if a is not None else src_group
-        dst = b.group_id if b is not None else dst_group
-        self.policy_server.set_rule(src, dst, "allow")
-        if symmetric:
-            self.policy_server.set_rule(dst, src, "allow")
+        self._set_rule(src_group, dst_group, "allow", symmetric)
 
     def deny(self, src_group, dst_group, symmetric=True):
+        """Blacklist a group pair in the connectivity matrix."""
+        self._set_rule(src_group, dst_group, "deny", symmetric)
+
+    def _set_rule(self, src_group, dst_group, action, symmetric):
         a = self.plan.group_by_name(src_group) if isinstance(src_group, str) else None
         b = self.plan.group_by_name(dst_group) if isinstance(dst_group, str) else None
         src = a.group_id if a is not None else src_group
         dst = b.group_id if b is not None else dst_group
-        self.policy_server.set_rule(src, dst, "deny")
+        self.policy_server.set_rule(src, dst, action)
         if symmetric:
-            self.policy_server.set_rule(dst, src, "deny")
+            self.policy_server.set_rule(dst, src, action)
 
     def create_endpoint(self, identity, group, vn, secret="secret", sink=None,
                         factory=Endpoint):

@@ -220,11 +220,6 @@ class RoutingServer:
         if self.on_processed is not None:
             self.on_processed(message, self.sim.now)
 
-    @property
-    def _queue_depth(self):
-        """Back-compat alias (observability gauges read it)."""
-        return self.queue.depth
-
     def _overloaded(self):
         """True while the bounded queue is past the backpressure bar."""
         return (self.queue.bounded

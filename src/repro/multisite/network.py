@@ -505,10 +505,6 @@ class MultiSiteNetwork:
                       + border.counters.away_announcements_sent)
         return total
 
-    def transit_counters(self):
-        return {index: border.counters.as_dict()
-                for index, border in enumerate(self.transit_borders)}
-
     def __repr__(self):
         return "MultiSiteNetwork(sites=%d, endpoints=%d, aggregates=%d)" % (
             len(self.sites), len(self._endpoints), self.transit.aggregate_count

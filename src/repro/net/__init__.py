@@ -1,5 +1,5 @@
-"""Network substrate: addressing, longest-prefix-match trie, packets,
-VXLAN-GPO encapsulation, and link models.
+"""Network substrate: addressing, longest-prefix-match trie, packets
+and VXLAN-GPO encapsulation.
 
 Everything above (underlay, LISP, fabric) builds on these primitives.
 """
@@ -24,7 +24,6 @@ from repro.net.packet import (
     BROADCAST_MAC,
 )
 from repro.net.vxlan import VxlanGpoHeader, encapsulate, decapsulate, VXLAN_PORT
-from repro.net.links import Link, DropTailQueue
 
 __all__ = [
     "IPv4Address",
@@ -46,6 +45,4 @@ __all__ = [
     "encapsulate",
     "decapsulate",
     "VXLAN_PORT",
-    "Link",
-    "DropTailQueue",
 ]

@@ -15,7 +15,11 @@ What wiring does per device:
   identical across sites, so names are the only unambiguous identity;
 * enrolls the device's ``Counters``/stats block in the registry;
 * adds gauges for state blocks with no counters (map-cache occupancy,
-  megaflow entries, routing-server queue depth, batch backlog);
+  megaflow entries, batch backlog) and for the overload surface:
+  routing-server queue depth, pressure and sheds, registrar (edge, WLC)
+  backpressure and breaker state, edge stale serves.  These are plain
+  attributes, not ``Counters`` fields, so wiring them moves no ledger
+  digest;
 * arms the opt-in histogram hooks (``SerialQueue.wait_hist``,
   ``Batcher.flush_hist``) that are ``None`` — and therefore free — when
   observability is off.
@@ -26,10 +30,13 @@ from __future__ import annotations
 from repro.obs.metrics import COUNT_BOUNDS
 
 
-def _map_cache_gauges(obs, cache, name):
-    obs.metrics.gauge(name + ".occupancy", lambda: cache.occupancy())
-    obs.metrics.gauge(name + ".hits", lambda: cache.hits)
-    obs.metrics.gauge(name + ".misses", lambda: cache.misses)
+def _map_cache_gauges(obs, device, attr, name):
+    # Read the cache through the device: a reboot (edge) or a failure
+    # (border transit cache) installs a fresh cache object.
+    obs.metrics.gauge(name + ".occupancy",
+                      lambda: getattr(device, attr).occupancy())
+    obs.metrics.gauge(name + ".hits", lambda: getattr(device, attr).hits)
+    obs.metrics.gauge(name + ".misses", lambda: getattr(device, attr).misses)
 
 
 def _megaflow_gauges(obs, device, name):
@@ -39,13 +46,26 @@ def _megaflow_gauges(obs, device, name):
     obs.metrics.gauge(name + ".megaflow", megaflow.stats_dict)
 
 
+def _registrar(obs, device, name):
+    """Backpressure and breaker state of a RegisterPacer-driven device."""
+    pacer = device.pacer
+    obs.metrics.gauge(name + ".bp_factor", lambda: pacer.factor)
+    obs.metrics.gauge(name + ".bp_overload_acks", lambda: pacer.overload_acks)
+    obs.metrics.gauge(name + ".breaker_deferrals", lambda: pacer.deferrals)
+    obs.metrics.gauge(name + ".breaker_opens", lambda: pacer.breaker_opens)
+
+
 def _edge(obs, edge, name):
     obs.tracer.register_device(edge, name)
     obs.metrics.enroll(name, edge.counters)
     obs.metrics.gauge(name + ".pre_auth_drops", lambda: edge.pre_auth_drops)
     obs.metrics.gauge(name + ".port_drops", lambda: edge.port_drops)
-    _map_cache_gauges(obs, edge.map_cache, name + ".map_cache")
+    obs.metrics.gauge(name + ".stale_served", lambda: edge.stale_served)
+    obs.metrics.gauge(name + ".stale_hits",
+                      lambda: edge.map_cache.stale_hits)
+    _map_cache_gauges(obs, edge, "map_cache", name + ".map_cache")
     _megaflow_gauges(obs, edge, name)
+    _registrar(obs, edge, name)
 
 
 def _border(obs, border, name):
@@ -53,13 +73,22 @@ def _border(obs, border, name):
     obs.metrics.enroll(name, border.counters)
     _megaflow_gauges(obs, border, name)
     if border.transit_cache is not None:
-        _map_cache_gauges(obs, border.transit_cache, name + ".transit_cache")
+        _map_cache_gauges(obs, border, "transit_cache", name + ".transit_cache")
 
 
 def _routing_server(obs, server, name):
     obs.tracer.register_device(server, name)
     obs.metrics.enroll(name, server.stats)
-    obs.metrics.gauge(name + ".queue_depth", lambda: server._queue_depth)
+    queue = server.queue
+    obs.metrics.gauge(name + ".queue_depth", lambda: queue.depth)
+    obs.metrics.gauge(name + ".queue_backlog_s", lambda: queue.backlog_s)
+    obs.metrics.gauge(name + ".queue_pressure", lambda: queue.pressure)
+    obs.metrics.gauge(name + ".shed_total", lambda: queue.shed_total)
+    obs.metrics.gauge(name + ".shed_by_class",
+                      lambda: dict(queue.shed_by_class))
+    obs.metrics.gauge(name + ".max_depth_seen", lambda: queue.max_depth_seen)
+    obs.metrics.gauge(name + ".overload_signals",
+                      lambda: server.overload_signals)
     obs.metrics.gauge(name + ".route_count", lambda: server.route_count)
 
 
@@ -94,6 +123,7 @@ def _wireless_fabric(obs, wireless, prefix):
     wlc.pacer.observe_flushes(
         obs.metrics.histogram(name + ".register_batch", COUNT_BOUNDS))
     obs.metrics.gauge(name + ".batch_backlog", lambda: wlc.pacer.backlog)
+    _registrar(obs, wlc, name)
     for ap in wireless.aps:
         obs.tracer.register_device(ap, prefix + ap.name)
         obs.metrics.enroll(prefix + ap.name, ap.counters)
@@ -103,7 +133,7 @@ def _wireless_fabric(obs, wireless, prefix):
 def _transit(obs, transit):
     obs.tracer.register_device(transit, "transit")
     obs.metrics.enroll("transit", transit.stats)
-    obs.metrics.gauge("transit.queue_depth", lambda: transit._queue_depth)
+    obs.metrics.gauge("transit.queue_depth", lambda: transit.queue.depth)
     obs.metrics.gauge("transit.aggregates", lambda: transit.aggregate_count)
 
 

@@ -11,7 +11,9 @@ them into one enumerable namespace:
   without touching the legacy attribute names the ledger digests read.
 * **gauges** — zero-argument callables sampled at snapshot time, for
   state no counter tracks: event-queue depth and tombstone ratio,
-  map-cache occupancy, megaflow entries, WLC batch backlog.
+  map-cache occupancy, megaflow entries, WLC batch backlog, and the
+  overload surface (queue pressure, sheds, backpressure, breaker,
+  stale serves).
 * **histograms** — bounded-bucket distributions recorded on the hot(ish)
   path by hooks that default to ``None`` (``SerialQueue.wait_hist``,
   ``Batcher.flush_hist``), so the off path stays a single ``is None``
@@ -98,7 +100,7 @@ class MetricRegistry:
         self._histograms = {}     # name -> Histogram
         self.samples = []         # appended by sample()
         self.sample_interval_s = None
-        self._sampling = False
+        self._tick_event = None   # the pending sampler tick, if armed
 
     # ------------------------------------------------------------------ enrollment
     def enroll(self, name, counters):
@@ -138,94 +140,6 @@ class MetricRegistry:
                    lambda: queue.tombstones_reaped)
         self.gauge("sim.events_processed", lambda: sim.events_processed)
 
-    def enroll_chaos(self, monitor, engine=None):
-        """Wire the chaos suite's health signals as gauges.
-
-        ``chaos.blackhole_seconds`` is the probe-measured pair-seconds
-        of data-plane outage (see
-        :class:`repro.chaos.probes.ProbeMonitor`);
-        ``chaos.reconvergence_last_s`` the most recent fault-to-repair
-        delay.  Sampled alongside device counters, they put "how dark
-        did the fabric go" on the same timeline as "what did the
-        control plane do about it".
-        """
-        self.gauge("chaos.blackhole_seconds", lambda: monitor.blackhole_s)
-        self.gauge("chaos.probes_lost", lambda: monitor.lost)
-        self.gauge(
-            "chaos.reconvergence_last_s",
-            lambda: (monitor.reconvergence_s[-1]
-                     if monitor.reconvergence_s else 0.0),
-        )
-        if engine is not None:
-            self.gauge("chaos.faults_injected",
-                       lambda: engine.faults_injected)
-            self.gauge("chaos.faults_healed", lambda: engine.faults_healed)
-
-    def enroll_overload(self, servers, edges=(), wlcs=()):
-        """Wire the overload-armor surfaces as gauges.
-
-        Per routing server: bounded-queue depth/backlog/pressure, shed
-        totals (and the per-priority-class split), the deepest backlog
-        seen, and how many acks carried the in-band overloaded bit.
-        Per registrar (edges, then WLCs — same gauges, read from the
-        shared :class:`~repro.lisp.registrar.RegisterPacer`): the AIMD
-        backpressure factor and circuit-breaker opens/deferrals; edges
-        add stale map-cache serves.  All of these are plain attributes
-        (not ``Counters`` fields), so enrolling them leaves every ledger
-        digest untouched.
-        """
-        for index, server in enumerate(servers):
-            prefix = "overload.server%d." % index
-            queue = server.queue
-            self.gauge(prefix + "queue_depth", lambda q=queue: q.depth)
-            self.gauge(prefix + "queue_backlog_s", lambda q=queue: q.backlog_s)
-            self.gauge(prefix + "queue_pressure", lambda q=queue: q.pressure)
-            self.gauge(prefix + "shed_total", lambda q=queue: q.shed_total)
-            self.gauge(prefix + "shed_by_class",
-                       lambda q=queue: dict(q.shed_by_class))
-            self.gauge(prefix + "max_depth_seen",
-                       lambda q=queue: q.max_depth_seen)
-            self.gauge(prefix + "overload_signals",
-                       lambda s=server: s.overload_signals)
-        for kind, devices in (("edge", edges), ("wlc", wlcs)):
-            for index, device in enumerate(devices):
-                prefix = "overload.%s%d." % (kind, index)
-                pacer = device.pacer
-                self.gauge(prefix + "bp_factor", lambda p=pacer: p.factor)
-                self.gauge(prefix + "bp_overload_acks",
-                           lambda p=pacer: p.overload_acks)
-                self.gauge(prefix + "breaker_deferrals",
-                           lambda p=pacer: p.deferrals)
-                self.gauge(prefix + "breaker_opens",
-                           lambda p=pacer: p.breaker_opens)
-                if kind == "edge":
-                    self.gauge(prefix + "stale_served",
-                               lambda e=device: e.stale_served)
-                    self.gauge(prefix + "stale_hits",
-                               lambda e=device: e.map_cache.stale_hits)
-
-    def auto_enroll(self):
-        """Enroll every live tracked :class:`Counters` instance.
-
-        Requires :meth:`repro.core.counters.Counters.track_instances`
-        to have been armed before the devices were built; instances are
-        named ``<metric_name>.<n>`` in creation order.
-        """
-        from repro.core.counters import Counters
-
-        by_kind = {}
-        enrolled = 0
-        mine = set(id(c) for c in self._counters.values())
-        for counters in Counters.tracked_instances():
-            if id(counters) in mine:
-                continue
-            kind = type(counters).metric_name()
-            index = by_kind.get(kind, 0)
-            by_kind[kind] = index + 1
-            self.enroll("%s.%d" % (kind, index), counters)
-            enrolled += 1
-        return enrolled
-
     # ------------------------------------------------------------------ snapshots
     def snapshot(self):
         """One sim-time-stamped reading of everything registered."""
@@ -264,23 +178,21 @@ class MetricRegistry:
         if interval_s <= 0:
             raise ValueError("sample interval must be positive")
         self.sample_interval_s = interval_s
-        if not self._sampling:
-            self._sampling = True
-            self.sim.schedule_daemon(interval_s, self._tick)
+        if self._tick_event is None:
+            self._tick_event = self.sim.schedule_daemon(interval_s, self._tick)
 
     def stop(self):
-        self._sampling = False
+        """Cancel the pending tick, so a later start() runs one chain."""
+        if self._tick_event is not None:
+            self.sim.cancel(self._tick_event)
+            self._tick_event = None
 
     def _tick(self):
-        if not self._sampling:
-            return
         self.sample()
-        self.sim.schedule_daemon(self.sample_interval_s, self._tick)
+        self._tick_event = self.sim.schedule_daemon(
+            self.sample_interval_s, self._tick)
 
     # ------------------------------------------------------------------ export
-    def counter_names(self):
-        return sorted(self._counters)
-
     def export_jsonl(self, path):
         """Write the timeseries append-only, one snapshot per line."""
         with open(path, "w") as handle:

@@ -112,11 +112,6 @@ class GroupAcl:
     def version_of(self, src_group, dst_group):
         return self._versions.get((int(src_group), int(dst_group)))
 
-    def rules_snapshot(self):
-        """Sorted view of programmed rules: ((src, dst), action) pairs."""
-        return sorted(self._rules.items())
-
-
 class IpAclRule:
     """A legacy ACL line: src prefix, dst prefix, action."""
 

@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation kernel.
 
 Every experiment in this repository runs on top of this kernel: a priority
-queue of timestamped events, a simulated clock, and helpers for periodic
-processes.  Determinism matters — the paper's results are statistical
+queue of timestamped events, a simulated clock, and seeded random
+streams.  Determinism matters — the paper's results are statistical
 (CDFs, boxplots, weekly time series) and we want bit-identical reruns for a
 given seed.
 
@@ -25,14 +25,11 @@ Quick example::
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.simulator import Simulator
-from repro.sim.process import PeriodicProcess, delayed_call
 from repro.sim.rng import SeededRng
 
 __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
-    "PeriodicProcess",
-    "delayed_call",
     "SeededRng",
 ]

@@ -10,8 +10,6 @@ Delivery is *analytic* rather than hop-by-hop queued: at warehouse scale
 (16k endpoints, 800 moves/s) simulating per-hop queues would dominate run
 time without changing any result the paper reports, because every reported
 number is either state (FIB counts) or a delay *relative to the minimum*.
-Congestion-sensitive experiments can still use :class:`repro.net.links.Link`
-directly.
 """
 
 from __future__ import annotations

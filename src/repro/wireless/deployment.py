@@ -127,11 +127,6 @@ class WirelessFabric:
         self.wlc.disassociate(station)
 
     # ------------------------------------------------------------------ metrics
-    def aps_on_edge(self, edge):
-        if isinstance(edge, int):
-            edge = self.net.edges[edge]
-        return [ap for ap in self.aps if ap.edge is edge]
-
     def station_count(self):
         return sum(len(ap.stations) for ap in self.aps)
 

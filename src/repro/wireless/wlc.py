@@ -149,10 +149,6 @@ class FabricWlc:
     def register_ap(self, ap):
         self._aps.append(ap)
 
-    @property
-    def ap_count(self):
-        return len(self._aps)
-
     # ------------------------------------------------------------------ association
     def on_associate(self, station, ap, previous_ap, on_complete=None):
         """Radio-layer notification from an AP (queued on the CPU)."""

@@ -49,6 +49,21 @@ def test_wireless_campus_digest_identical_with_obs_fully_on():
     assert bundle.metrics.samples
 
 
+def test_overload_storm_gauges_read_what_the_ledger_counts():
+    build = SCENARIOS["overload_storm"][0]
+    workload = build(seed=17)
+    registry = obs.enable(workload, tracing=False).metrics
+    workload.run(duration_s=6.0)
+    ledger = workload.counter_ledger()
+    gauges = registry.snapshot()["gauges"]
+    assert ledger["server0.shed_total"] > 0
+    assert gauges["routing-server-0.shed_total"] == ledger["server0.shed_total"]
+    for edge in workload.fabric.edges:
+        for key in ("stale_served", "breaker_deferrals", "bp_overload_acks"):
+            name = "%s.%s" % (edge.name, key)
+            assert gauges[name] == ledger[name]
+
+
 # ---------------------------------------------------------------- acceptance
 def test_cross_site_roam_yields_one_causally_linked_trace(tmp_path):
     workload = DistributedWirelessCampusWorkload(

@@ -4,10 +4,14 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.core.counters import Counters
+from repro.fabric import FabricConfig, FabricNetwork
 from repro.fabric.edge import EdgeRouterCounters
+from repro.multisite import MultiSiteConfig, MultiSiteNetwork
 from repro.obs.metrics import COUNT_BOUNDS, Histogram, MetricRegistry
 from repro.sim.simulator import Simulator
+from tests.conftest import admit_and_settle
 
 
 class _WidgetCounters(Counters):
@@ -16,23 +20,13 @@ class _WidgetCounters(Counters):
 
 
 # ---------------------------------------------------------------------- naming
-def test_metric_names_install_alias_properties_both_directions():
-    counters = _WidgetCounters()
-    counters.in_ = 3
-    assert counters.widgets_in == 3        # alias reads the legacy field
-    counters.widgets_in = 7
-    assert counters.in_ == 7               # and writes through to it
-
-
 def test_metric_dict_exports_normalized_names_as_dict_stays_legacy():
     counters = EdgeRouterCounters()
     counters.wireless_in += 2
     assert counters.metric_dict()["wireless_packets_in"] == 2
-    assert counters.wireless_packets_in == 2
     # The ledger-facing export keeps the legacy spelling untouched.
     assert "wireless_in" in counters.as_dict()
     assert "wireless_packets_in" not in counters.as_dict()
-    assert "wireless_packets_in" in counters.metric_fields()
 
 
 def test_metric_names_validation_rejects_bad_maps():
@@ -44,11 +38,6 @@ def test_metric_names_validation_rejects_bad_maps():
         class _Shadow(Counters):
             FIELDS = ("a", "b")
             METRIC_NAMES = {"a": "b"}      # would shadow the real field b
-
-
-def test_metric_name_is_snake_case():
-    assert EdgeRouterCounters.metric_name() == "edge_router_counters"
-    assert _WidgetCounters.metric_name() == "__widget_counters"
 
 
 # ---------------------------------------------------------------------- registry
@@ -91,22 +80,6 @@ def test_histogram_buckets_and_stats():
     assert hist.mean == pytest.approx(505 / 4)
 
 
-def test_auto_enroll_tracks_instances_created_after_arming():
-    Counters.track_instances(True)
-    try:
-        first = _WidgetCounters()
-        second = _WidgetCounters()
-        registry = MetricRegistry()
-        assert registry.auto_enroll() == 2
-        names = registry.counter_names()
-        assert "__widget_counters.0" in names
-        assert "__widget_counters.1" in names
-        assert registry._counters["__widget_counters.0"] is first
-        assert registry._counters["__widget_counters.1"] is second
-    finally:
-        Counters.track_instances(False)
-
-
 def test_enroll_sim_gauges_kernel_state():
     sim = Simulator()
     registry = MetricRegistry(sim)
@@ -144,6 +117,19 @@ def test_sampler_stop_halts_ticks():
     assert len(registry.samples) <= 1
 
 
+def test_restart_before_the_pending_tick_runs_one_chain():
+    sim = Simulator()
+    registry = MetricRegistry(sim)
+    registry.start(1.0)
+    sim.run(until=0.5)
+    registry.stop()
+    registry.start(1.0)
+    sim.run(until=10.0)
+    # One chain from t=0.5: 1.5, 2.5, ... 9.5; the first chain is gone.
+    assert [row["t"] for row in registry.samples] == [
+        0.5 + k for k in range(1, 10)]
+
+
 def test_start_validates_arguments():
     with pytest.raises(ValueError):
         MetricRegistry(None).start(1.0)
@@ -162,3 +148,50 @@ def test_export_jsonl_round_trips(tmp_path):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert rows[0]["gauges"]["g"] == 1
     assert all("t" in row for row in rows)
+
+
+# ---------------------------------------------------------------------- wiring
+def test_map_cache_gauges_follow_an_edge_reboot():
+    net = FabricNetwork(FabricConfig(num_edges=2, seed=3))
+    net.define_vn("corp", 100, "10.1.0.0/16")
+    net.define_group("users", 1, 100)
+    net.allow("users", "users")
+    registry = obs.enable(net, tracing=False).metrics
+    a = net.create_endpoint("a", "users", 100)
+    b = net.create_endpoint("b", "users", 100)
+    admit_and_settle(net, a, 0)
+    admit_and_settle(net, b, 1)
+    net.send(a, b)
+    net.settle()
+    edge = net.edges[0]
+    gauges = registry.snapshot()["gauges"]
+    assert gauges["edge-0.map_cache.occupancy"] == 1
+    edge.reboot(duration_s=1.0)
+    assert edge.map_cache.occupancy() == 0
+    gauges = registry.snapshot()["gauges"]
+    assert gauges["edge-0.map_cache.occupancy"] == 0
+    assert gauges["edge-0.map_cache.hits"] == edge.map_cache.hits == 0
+    net.settle()
+
+
+def test_transit_cache_gauges_follow_a_border_failure():
+    net = MultiSiteNetwork(MultiSiteConfig(num_sites=2, edges_per_site=2,
+                                           seed=11))
+    net.define_vn("corp", 100, "10.4.0.0/16")
+    net.define_group("users", 1, 100)
+    net.allow("users", "users")
+    net.settle()
+    registry = obs.enable(net, tracing=False).metrics
+    a = net.create_endpoint("a", "users", 100)
+    b = net.create_endpoint("b", "users", 100)
+    net.admit(a, 0)
+    net.admit(b, 1)
+    net.settle()
+    net.send(a, b)
+    net.settle()
+    border = net.sites[0].borders[0]
+    name = "site0.%s.transit_cache.occupancy" % border.name
+    assert registry.snapshot()["gauges"][name] >= 1
+    border.fail()
+    assert border.transit_cache.occupancy() == 0
+    assert registry.snapshot()["gauges"][name] == 0

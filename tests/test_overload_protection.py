@@ -3,6 +3,7 @@ backpressure, breakers, serve-stale) and its chaos verbs."""
 
 import pytest
 
+from repro import obs
 from repro.chaos import stale_mappings
 from repro.core.breaker import BreakerPolicy
 from repro.core.queueing import PRIO_BULK, PRIO_CRITICAL, PRIO_NORMAL
@@ -17,7 +18,6 @@ from repro.lisp import (
     control_packet,
 )
 from repro.net.addresses import IPv4Address, Prefix
-from repro.obs.metrics import MetricRegistry
 from repro.wireless import WirelessFabric
 
 RETRY = RetryPolicy(base_s=0.05, multiplier=2.0, max_delay_s=0.4,
@@ -279,20 +279,19 @@ def test_enroll_overload_gauges():
         num_edges=2, server_max_pending=16, register_retry=RETRY,
         backpressure=True, breaker=BREAKER, serve_stale_s=2.0,
     ))
-    registry = MetricRegistry(net.sim)
-    registry.enroll_overload(net.routing_servers, edges=net.edges)
+    registry = obs.enable(net, tracing=False).metrics
     snapshot = registry.snapshot()
     gauges = snapshot["gauges"]
-    assert gauges["overload.server0.queue_depth"] == 0
-    assert gauges["overload.server0.queue_pressure"] == 0.0
-    assert gauges["overload.server0.shed_total"] == 0
-    assert gauges["overload.edge0.bp_factor"] == 1.0
-    assert gauges["overload.edge1.breaker_opens"] == 0
+    assert gauges["routing-server-0.queue_depth"] == 0
+    assert gauges["routing-server-0.queue_pressure"] == 0.0
+    assert gauges["routing-server-0.shed_total"] == 0
+    assert gauges["edge-0.bp_factor"] == 1.0
+    assert gauges["edge-1.breaker_opens"] == 0
     net.overload_server(0, rate_per_s=6000.0)
     net.run_for(0.2)
     live = registry.snapshot()["gauges"]
-    assert live["overload.server0.shed_total"] > 0
-    assert live["overload.server0.max_depth_seen"] == 16
+    assert live["routing-server-0.shed_total"] > 0
+    assert live["routing-server-0.max_depth_seen"] == 16
     net.relieve_server(0)
     net.settle()
 
@@ -359,9 +358,6 @@ def test_wlc_breaker_defers_resends_to_a_dead_server_then_completes():
     assert record is not None and record.rloc == net.edges[0].rloc
     assert stale_mappings(net) == []
     # Both registrars show up in the overload gauges, breaker included.
-    registry = MetricRegistry(net.sim)
-    registry.enroll_overload(net.routing_servers, edges=net.edges,
-                             wlcs=[wlc])
-    gauges = registry.snapshot()["gauges"]
-    assert gauges["overload.wlc0.breaker_opens"] == wlc.pacer.breaker_opens
-    assert gauges["overload.wlc0.breaker_deferrals"] == wlc.pacer.deferrals
+    gauges = obs.enable(wireless, tracing=False).metrics.snapshot()["gauges"]
+    assert gauges["wlc.breaker_opens"] == wlc.pacer.breaker_opens
+    assert gauges["wlc.breaker_deferrals"] == wlc.pacer.deferrals
