@@ -80,10 +80,7 @@ class AccessPointTunnel:
 
     def _on_packet(self, packet):
         """Traffic back from the controller for one of our clients."""
-        inner = packet.inner_ip()
-        if inner is None:
-            return
-        sink = self.clients.get(inner.dst)
+        sink = self.clients.get(packet.inner.dst)
         if sink is not None:
             sink(packet, self.sim.now)
 
@@ -232,9 +229,7 @@ class WlanController:
 
     def _forward(self, packet):
         self.packets_processed += 1
-        inner = packet.inner_ip()
-        if inner is None:
-            return
+        inner = packet.inner
         ap = self._client_ap.get(inner.dst)
         if ap is not None:
             self.underlay.send(self.rloc, ap.rloc, packet)

@@ -114,17 +114,18 @@ class SerialQueue:
         return admitted
 
     def try_submit(self, service_s, fn, *args, priority=PRIO_NORMAL):
-        """Admission-checked submit; returns the event or ``None`` (shed)."""
+        """Admission-checked submit; ``True``, or ``None`` when shed."""
         if not self.admit(priority):
             return None
-        return self.submit(service_s, fn, *args)
+        self.submit(service_s, fn, *args)
+        return True
 
     def submit(self, service_s, fn, *args):
         """Queue ``fn(*args)`` behind current work for ``service_s``.
 
         Unchecked: the caller has already passed admission (or the
-        queue is unbounded).  Returns the scheduled event (cancellable
-        via the simulator).
+        queue is unbounded).  The work is posted, not scheduled: nothing
+        cancels it, and :meth:`reset` discards it by epoch instead.
         """
         now = self.sim.now
         start = max(now, self._busy_until)
@@ -136,8 +137,7 @@ class SerialQueue:
             self.max_depth_seen = self.depth
         if self.wait_hist is not None:
             self.wait_hist.record(start - now)
-        return self.sim.schedule(self._busy_until - now, self._run,
-                                 self._epoch, fn, args)
+        self.sim.post(self._busy_until - now, self._run, self._epoch, fn, args)
 
     def _run(self, epoch, fn, args):
         if epoch != self._epoch:

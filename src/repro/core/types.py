@@ -8,14 +8,17 @@ The paper (sec. 3.2.1) defines two segmentation identifiers:
   in the VXLAN-GPO Group Policy ID field, providing "micro" segmentation
   inside a VN.
 
-Both are modelled as small value classes wrapping an ``int`` with range
-validation, so that a GroupId can never silently flow into a field expecting
-a VN.  They are hashable, ordered and cheap.
+Both are ``int`` subclasses that check their range once, at construction.
+Everything else is plain ``int``: an id hashes and compares equal to the
+integer it holds, so ``VNId(5) == GroupId(5) == 5`` and a table keyed by
+one answers a lookup by any of them.  The per-packet path (megaflow keys,
+VRF, ACL and map-cache lookups) therefore uses ids as keys directly and
+runs no Python code for them.  What the types still give is the range
+check and a ``repr`` that names the kind (``VNId(5)``); keeping a VN out
+of a group field is the caller's job, as it is for any other ``int``.
 """
 
 from __future__ import annotations
-
-import functools
 
 from repro.core.errors import ConfigurationError
 
@@ -25,56 +28,28 @@ MAX_VN = (1 << VN_BITS) - 1
 MAX_GROUP = (1 << GROUP_BITS) - 1
 
 
-@functools.total_ordering
-class _BoundedId:
-    """An immutable integer identifier constrained to ``[0, max_value]``."""
+class _BoundedId(int):
+    """An integer identifier constrained to ``[0, _max_value]``.
 
-    __slots__ = ("_value",)
+    No instance attributes (``__slots__ = ()``), so an id is as
+    immutable as the ``int`` it is.
+    """
+
+    __slots__ = ()
 
     _max_value = 0
     _label = "id"
 
-    def __init__(self, value):
-        value = int(value)
-        if not 0 <= value <= self._max_value:
+    def __new__(cls, value):
+        self = int.__new__(cls, value)
+        if not 0 <= self <= cls._max_value:
             raise ConfigurationError(
-                "%s %d out of range [0, %d]" % (self._label, value, self._max_value)
+                "%s %d out of range [0, %d]" % (cls._label, self, cls._max_value)
             )
-        object.__setattr__(self, "_value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    @property
-    def value(self):
-        """The wrapped integer value."""
-        return self._value
-
-    def __int__(self):
-        return self._value
-
-    def __index__(self):
-        return self._value
-
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self._value == other._value
-        if isinstance(other, int):
-            return self._value == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, type(self)):
-            return self._value < other._value
-        if isinstance(other, int):
-            return self._value < other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._value))
+        return self
 
     def __repr__(self):
-        return "%s(%d)" % (type(self).__name__, self._value)
+        return "%s(%d)" % (type(self).__name__, self)
 
 
 class VNId(_BoundedId):

@@ -69,7 +69,7 @@ def run_ablation(num_pairs=20, packets_per_flow=4, gap_s=0.5e-3, seed=61):
                     packet = net.send(src, dst.ip, size=400)
                     packet.meta["sequence"] = sequence
                     packet.meta["sent_at"] = sim.now
-                sim.schedule_at(start + flow_index * 1e-4 + sequence * gap_s, fire)
+                sim.post_at(start + flow_index * 1e-4 + sequence * gap_s, fire)
                 sent += 1
         net.settle(max_time=120.0)
 

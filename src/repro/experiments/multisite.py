@@ -71,7 +71,7 @@ def _first_packet_delays(net, pairs, gap_s=5e-3):
         def fire(src=src, dst=dst):
             packet = net.send(src, dst.ip, size=400)
             packet.meta["sent_at"] = sim.now
-        sim.schedule_at(start + index * gap_s, fire)
+        sim.post_at(start + index * gap_s, fire)
     net.settle(max_time=120.0)
     for _src, dst in pairs:
         dst.sink = None
@@ -135,10 +135,10 @@ def run_intersite_handover(stream_interval_s=2e-3, stream_packets=400,
 
     start = sim.now + 0.1
     for index in range(stream_packets):
-        sim.schedule_at(start + index * stream_interval_s,
-                        lambda: net.send(peer, mover.ip, size=400))
+        sim.post_at(start + index * stream_interval_s,
+                    lambda: net.send(peer, mover.ip, size=400))
     roam_time = start + roam_at_packet * stream_interval_s
-    sim.schedule_at(roam_time, lambda: net.roam(mover, 1, 1))
+    sim.post_at(roam_time, lambda: net.roam(mover, 1, 1))
     net.settle(max_time=300.0)
     mover.sink = None
 

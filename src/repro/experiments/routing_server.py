@@ -68,7 +68,7 @@ def _measure(sim, server, messages, queries_per_second, seed=29):
     at = start
     for message in messages:
         at += rng.expovariate(queries_per_second)
-        sim.schedule_at(at, submit, message)
+        sim.post_at(at, submit, message)
     sim.run()
     server.on_processed = None
     return delays

@@ -58,7 +58,7 @@ def roam_rotation(sim, recorder, station, move, targets, interval_s,
     side = 0   # targets[0] is the away AP; the station starts on targets[1]
     roams = 0
     while t < duration_s:
-        sim.schedule_at(
+        sim.post_at(
             sim.now + t, _do_roam, sim, recorder, station, move, targets[side]
         )
         side = 1 - side

@@ -46,13 +46,13 @@ from repro.net.fastpath import (
     MegaflowEntry,
 )
 from repro.sim.rng import SeededRng
+from repro.net.packet import IpHeader
 from repro.net.trie import PatriciaTrie
 from repro.net.vxlan import (
     EncapTemplate,
     decapsulate,
     encapsulate,
     flow_entropy_port,
-    is_vxlan,
 )
 from repro.policy.acl import GroupAcl
 
@@ -110,7 +110,7 @@ class BorderRouter:
         self.external_sink = None
         #: synchronized copy of the routing server's mappings
         self.synced = MappingDatabase()
-        self._external = {}     # vn int -> PatriciaTrie of external prefixes
+        self._external = {}     # vn -> PatriciaTrie of external prefixes
         self.acl = GroupAcl()
         self.counters = BorderRouterCounters()
         #: data-plane fast path: memoized relay decisions (synced-FIB
@@ -406,14 +406,14 @@ class BorderRouter:
     # -- external routes -----------------------------------------------------------
     def add_external_route(self, vn, prefix, label="internet"):
         self._mf_flush()
-        trie = self._external.get(int(vn))
+        trie = self._external.get(vn)
         if trie is None:
             trie = PatriciaTrie(prefix.family)
-            self._external[int(vn)] = trie
+            self._external[vn] = trie
         trie.insert(prefix, label)
 
     def external_route_for(self, vn, address):
-        trie = self._external.get(int(vn))
+        trie = self._external.get(vn)
         if trie is None:
             return None
         hit = trie.lookup_longest(address)
@@ -423,7 +423,7 @@ class BorderRouter:
     def _on_packet(self, packet):
         if self.failed:
             return  # in flight when the process died
-        if is_vxlan(packet):
+        if packet.encap is not None:
             self._handle_data(packet)
         else:
             self._handle_control(packet.payload)
@@ -483,14 +483,14 @@ class BorderRouter:
         self.counters.packets_in += packet.train
         vxlan = decapsulate(packet)
         vn, src_group = vxlan.vni, vxlan.group
-        inner = packet.inner_ip()
-        if inner is None:
+        inner = packet.inner
+        if type(inner) is not IpHeader:
             self.counters.no_route_drops += packet.train
             return
         dst = inner.dst
         key = None
         if self.megaflow is not None:
-            key = (int(vn), int(src_group), dst)
+            key = (vn, src_group, dst)
             entry = self.megaflow.lookup(key, self.sim.now)
             if entry is not None:
                 self._relay(entry.action, entry.rloc, vn, src_group, packet,
@@ -521,8 +521,8 @@ class BorderRouter:
         The border classifies it (``group`` would come from an SXP binding
         in a deployment), then forwards like any fabric-bound packet.
         """
-        inner = packet.inner_ip()
-        if inner is None:
+        inner = packet.inner
+        if type(inner) is not IpHeader:
             raise ConfigurationError("external injection needs an IP packet")
         record = self.synced.lookup(vn, inner.dst)
         if record is None or record.rloc == self.rloc:
@@ -541,7 +541,7 @@ class BorderRouter:
         An away hit or a transit-cache answer is memoized under ``key``;
         a packet that waited for resolution is not.
         """
-        away = self._away.get((int(vn), inner.dst.to_prefix()))
+        away = self._away.get((vn, inner.dst.to_prefix()))
         if away is not None:
             self._relay(ACT_TRANSIT, away, vn, src_group, packet, inner, key)
             return
@@ -559,7 +559,7 @@ class BorderRouter:
     def _on_transit_packet(self, packet):
         if self.failed:
             return  # in flight when the process died
-        if is_vxlan(packet):
+        if packet.encap is not None:
             self._handle_transit_data(packet)
         else:
             self._handle_transit_control(packet.payload)
@@ -574,8 +574,8 @@ class BorderRouter:
         self.counters.transit_in += packet.train
         vxlan = decapsulate(packet)
         vn, src_group = vxlan.vni, vxlan.group
-        inner = packet.inner_ip()
-        if inner is None:
+        inner = packet.inner
+        if type(inner) is not IpHeader:
             self.counters.transit_drops += packet.train
             return
         key = None
@@ -583,7 +583,7 @@ class BorderRouter:
             # The site-leg relay decision is the same whether the packet
             # came from an edge or over the transit, so both paths share
             # one megaflow key space.
-            key = (int(vn), int(src_group), inner.dst)
+            key = (vn, src_group, inner.dst)
             entry = self.megaflow.lookup(key, self.sim.now)
             # A transit-leg decision was taken for site-side arrivals
             # (it may rest on an aggregate, which is no reason to bounce
@@ -598,7 +598,7 @@ class BorderRouter:
                         key)
             return
         # Not here: the endpoint may have roamed onward to a third site.
-        away = self._away.get((int(vn), inner.dst.to_prefix()))
+        away = self._away.get((vn, inner.dst.to_prefix()))
         if away is not None and away != self.transit_rloc:
             self._relay(ACT_TRANSIT, away, vn, src_group, packet, inner)
             return

@@ -39,12 +39,12 @@ from repro.lisp.messages import (
     control_packet,
 )
 from repro.lisp.registrar import RegisterPacer
+from repro.net.packet import IpHeader
 from repro.net.vxlan import (
     EncapTemplate,
     decapsulate,
     encapsulate,
     flow_entropy_port,
-    is_vxlan,
 )
 from repro.policy.acl import GroupAcl
 from repro.policy.matrix import PolicyAction
@@ -298,7 +298,7 @@ class EdgeRouter:
         endpoint.group = result.group
         self.vrf.update_group(endpoint.identity, result.group)
         self._program_acl(result.rules)
-        if old_group is not None and int(old_group) != int(result.group):
+        if old_group is not None and old_group != result.group:
             self._mf_flush()
             # The registration's stored group is refreshed too.
             self._register_endpoint(endpoint, roaming=False)
@@ -588,15 +588,15 @@ class EdgeRouter:
         self.counters.ingress_policy_drops += train
 
     def _forward_overlay(self, vn, src_group, packet):
-        inner = packet.inner_ip()
-        if inner is None:
+        inner = packet.inner
+        if type(inner) is not IpHeader:
             return
         dst = inner.dst
         train = packet.train
         mf = self.megaflow
         key = None
         if mf is not None:
-            key = (DIR_INGRESS, int(vn), int(src_group), dst)
+            key = (DIR_INGRESS, vn, src_group, dst)
             entry = mf.lookup(key, self.sim.now)
             if entry is not None and self._replay(key, entry, packet):
                 return
@@ -683,7 +683,7 @@ class EdgeRouter:
         self._encap_to(self.border_rloc, vn, src_group, packet, applied=False)
 
     def _resolve(self, vn, dst):
-        key = (int(vn), dst)
+        key = (vn, dst)
         if key in self._pending_resolution:
             self._pending_resolution[key] += 1
             return
@@ -705,7 +705,7 @@ class EdgeRouter:
                       self._check_resolution, vn, dst, attempt)
 
     def _check_resolution(self, vn, dst, attempt):
-        key = (int(vn), dst)
+        key = (vn, dst)
         if key not in self._pending_resolution or self.rebooting:
             return  # answered (or state reset) in the meantime
         if attempt >= MAP_REQUEST_RETRIES:
@@ -723,7 +723,7 @@ class EdgeRouter:
         along ``route`` when the caller already resolved it."""
         if template is None:
             encapsulate(packet, self.rloc, target_rloc, vn, src_group)
-            packet.headers[2].policy_applied = applied
+            packet.encap[2].policy_applied = applied
         else:
             template.apply(packet)
         self.counters.encapsulated += packet.train
@@ -736,21 +736,20 @@ class EdgeRouter:
     # ------------------------------------------------------------------ egress pipeline
     def _on_packet(self, packet):
         if self.rebooting:
-            if is_vxlan(packet):
+            if packet.encap is not None:
                 self.pre_auth_drops += packet.train
             return
-        if is_vxlan(packet):
+        if packet.encap is not None:
             self._handle_data(packet)
         else:
             self._handle_control(packet.payload, packet)
 
     def _handle_data(self, packet):
-        # Indexed, not Packet.outer(): one call less on the hit path.
-        outer_src = packet.headers[0].src
+        outer_src = packet.encap[0].src
         vxlan = decapsulate(packet)
         vn, src_group = vxlan.vni, vxlan.group
-        inner = packet.inner_ip()
-        if inner is None:
+        inner = packet.inner
+        if type(inner) is not IpHeader:
             # Non-IP payloads (L2 service frames) go to the L2 gateway.
             if self.l2_gateway is not None:
                 self.l2_gateway.handle_overlay_frame(vn, src_group, packet,
@@ -760,7 +759,7 @@ class EdgeRouter:
         train = packet.train
         key = None
         if self.megaflow is not None:
-            key = (DIR_EGRESS, int(vn), int(src_group), dst)
+            key = (DIR_EGRESS, vn, src_group, dst)
             entry = self.megaflow.lookup(key, self.sim.now)
             if entry is not None and self._replay(key, entry, packet,
                                                   vxlan.policy_applied):
@@ -853,7 +852,7 @@ class EdgeRouter:
         # Clear pending-resolution markers covered by this reply.
         resolved = [
             key for key in self._pending_resolution
-            if key[0] == int(reply.vn)
+            if key[0] == reply.vn
             and key[1].family == reply.eid.family
             and reply.eid.contains(key[1])
         ]

@@ -48,7 +48,7 @@ class L2Gateway:
     def __init__(self, edge):
         self.edge = edge
         self.counters = L2GatewayCounters()
-        self._pending_arp = {}   # (vn int, target ip) -> list of (endpoint, arp)
+        self._pending_arp = {}   # (vn, target ip) -> list of (endpoint, arp)
         edge.l2_gateway = self
 
     # -- endpoint-facing entry point ------------------------------------------------
@@ -57,8 +57,8 @@ class L2Gateway:
         entry = self.edge.vrf.lookup_identity(endpoint.identity)
         if entry is None:
             return
-        eth = packet.eth
-        if eth is None:
+        eth = packet.inner
+        if not isinstance(eth, EthernetHeader):
             raise ConfigurationError("L2 frame without Ethernet header")
         if eth.ethertype == ETHERTYPE_ARP and isinstance(packet.payload, ArpPayload):
             if packet.payload.is_request and eth.dst == BROADCAST_MAC:
@@ -84,7 +84,7 @@ class L2Gateway:
                               cached.mac, cached.rloc)
             return
         # Resolve via the routing server; park the request meanwhile.
-        key = (int(vn), arp.target_ip)
+        key = (vn, arp.target_ip)
         queue = self._pending_arp.setdefault(key, [])
         queue.append((endpoint, arp))
         self.counters.arp_pending_resolution += 1
@@ -97,7 +97,7 @@ class L2Gateway:
 
     def on_map_reply(self, reply):
         """Hook the edge calls for replies that resolve parked ARPs."""
-        key = (int(reply.vn), reply.eid.address)
+        key = (reply.vn, reply.eid.address)
         waiting = self._pending_arp.pop(key, None)
         if not waiting:
             return False
@@ -122,11 +122,8 @@ class L2Gateway:
         self.counters.arp_converted_unicast += 1
         self.edge.map_cache.install(vn, target_mac.to_prefix(), rloc,
                                     mac=target_mac)
-        frame = Packet(
-            headers=[EthernetHeader(arp.sender_mac, target_mac, ETHERTYPE_ARP)],
-            payload=arp,
-            size=64,
-        )
+        frame = Packet(EthernetHeader(arp.sender_mac, target_mac, ETHERTYPE_ARP),
+                       payload=arp, size=64)
         self._forward_frame(vn, group, target_mac, frame)
 
     def _send_arp_reply(self, endpoint, arp, mac):
@@ -135,11 +132,8 @@ class L2Gateway:
             sender_mac=mac, sender_ip=arp.target_ip,
             target_mac=arp.sender_mac, target_ip=arp.sender_ip,
         )
-        frame = Packet(
-            headers=[EthernetHeader(mac, arp.sender_mac, ETHERTYPE_ARP)],
-            payload=reply,
-            size=64,
-        )
+        frame = Packet(EthernetHeader(mac, arp.sender_mac, ETHERTYPE_ARP),
+                       payload=reply, size=64)
         self.edge.sim.post(20e-6, endpoint.receive, frame, self.edge.sim.now)
 
     # -- MAC-keyed forwarding ---------------------------------------------------------
@@ -172,8 +166,8 @@ class L2Gateway:
     # -- egress from the overlay -----------------------------------------------------------
     def handle_overlay_frame(self, vn, src_group, packet, outer_src):
         """A decapsulated non-IP frame arrived from another edge."""
-        eth = packet.eth
-        if eth is None:
+        eth = packet.inner
+        if not isinstance(eth, EthernetHeader):
             return
         local = self.edge.vrf.lookup_mac(vn, eth.dst)
         if local is None:
@@ -196,14 +190,17 @@ class L2Gateway:
         Returns the number of local deliveries.
         """
         delivered = 0
+        # each receiver gets its own packet and meta; headers are shared
         for entry in self.edge.vrf.entries(vn=vn):
             if entry.vlan != vlan:
                 continue
             if exclude_identity is not None and entry.endpoint.identity == exclude_identity:
                 continue
             delivered += 1
+            copy = Packet(packet.inner, packet.l4, packet.payload, packet.size,
+                          dict(packet.meta), packet.train)
             self.edge.sim.post(
-                20e-6, entry.endpoint.receive, packet.copy(), self.edge.sim.now
+                20e-6, entry.endpoint.receive, copy, self.edge.sim.now
             )
         self.counters.frames_flooded_local += delivered
         return delivered

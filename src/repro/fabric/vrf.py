@@ -12,7 +12,6 @@ which is the property that makes egress enforcement signaling-free
 from __future__ import annotations
 
 from repro.core.errors import ConfigurationError
-from repro.net.addresses import Prefix
 
 
 class LocalEndpointEntry:
@@ -32,7 +31,7 @@ class LocalEndpointEntry:
 
     def __repr__(self):
         return "LocalEndpointEntry(%s, vn=%d, group=%d, port=%d)" % (
-            self.ip, int(self.vn), int(self.group), int(self.port)
+            self.ip, self.vn, self.group, self.port
         )
 
 
@@ -45,9 +44,9 @@ class VrfTable:
     """
 
     def __init__(self):
-        self._v4 = {}    # vn int -> {address value int -> entry}
+        self._v4 = {}    # vn -> {address value int -> entry}
         self._v6 = {}
-        self._mac = {}   # vn int -> {mac -> entry}
+        self._mac = {}   # vn -> {mac -> entry}
         self._by_identity = {}
         self._count = 0
 
@@ -59,7 +58,7 @@ class VrfTable:
         identity = entry.endpoint.identity
         if identity in self._by_identity:
             raise ConfigurationError("endpoint %s already in VRF" % identity)
-        vn = int(entry.vn)
+        vn = entry.vn
         self._v4.setdefault(vn, {})[entry.ip.value] = entry
         if entry.ipv6 is not None:
             self._v6.setdefault(vn, {})[entry.ipv6.value] = entry
@@ -74,7 +73,7 @@ class VrfTable:
         entry = self._by_identity.pop(identity, None)
         if entry is None:
             return None
-        vn = int(entry.vn)
+        vn = entry.vn
         self._v4.get(vn, {}).pop(entry.ip.value, None)
         if entry.ipv6 is not None:
             self._v6.get(vn, {}).pop(entry.ipv6.value, None)
@@ -86,31 +85,27 @@ class VrfTable:
     def lookup_ip(self, vn, address):
         """(VN + overlay dst IP) -> local entry or ``None`` (fig. 4).
 
-        ``address`` may be a host :class:`Prefix`; a shorter prefix or a
-        non-IP family (a MAC EID) matches nothing.
+        ``address`` is an address; a non-IP family (a MAC) matches
+        nothing.
         """
-        if isinstance(address, Prefix):
-            if not address.is_host:
-                return None
-            address = address.address
         family = address.family
         if family == "ipv4":
-            table = self._v4.get(int(vn))
+            table = self._v4.get(vn)
         elif family == "ipv6":
-            table = self._v6.get(int(vn))
+            table = self._v6.get(vn)
         else:
             return None
         return table.get(address.value) if table else None
 
     def lookup_mac(self, vn, mac):
-        return self._mac.get(int(vn), {}).get(mac)
+        return self._mac.get(vn, {}).get(mac)
 
     def lookup_identity(self, identity):
         return self._by_identity.get(identity)
 
     def entries(self, vn=None):
         for entry in self._by_identity.values():
-            if vn is None or int(entry.vn) == int(vn):
+            if vn is None or entry.vn == vn:
                 yield entry
 
     def groups_present(self):

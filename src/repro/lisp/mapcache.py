@@ -49,8 +49,8 @@ class MapCacheEntry:
 
     def __repr__(self):
         if self.negative:
-            return "MapCacheEntry(vn=%d, %s, NEGATIVE)" % (int(self.vn), self.eid)
-        return "MapCacheEntry(vn=%d, %s -> %s)" % (int(self.vn), self.eid, self.rloc)
+            return "MapCacheEntry(vn=%d, %s, NEGATIVE)" % (self.vn, self.eid)
+        return "MapCacheEntry(vn=%d, %s -> %s)" % (self.vn, self.eid, self.rloc)
 
 
 class MapCache:
@@ -64,7 +64,6 @@ class MapCache:
     __slots__ = ("sim", "default_ttl", "negative_ttl", "serve_stale_s",
                  "stale_hits", "_tries",
                  "hits", "misses", "expirations", "invalidations",
-                 "_trie_memo_key", "_trie_memo",
                  "_soonest", "_rloc_counts")
 
     def __init__(self, sim, default_ttl=1200.0, negative_ttl=15.0,
@@ -79,15 +78,11 @@ class MapCache:
         #: Negative entries never outlive their TTL.
         self.serve_stale_s = serve_stale_s
         self.stale_hits = 0
-        self._tries = {}   # (vn int, family) -> PatriciaTrie of MapCacheEntry
+        self._tries = {}   # (vn, family) -> PatriciaTrie of MapCacheEntry
         self.hits = 0
         self.misses = 0
         self.expirations = 0
         self.invalidations = 0
-        #: memoized trie resolution (the common case is one flow = many
-        #: packets = one (vn, family))
-        self._trie_memo_key = None
-        self._trie_memo = None
         #: per-trie soonest expiry (lower bound; refreshed on sweep)
         self._soonest = {}
         #: per-trie {rloc: live positive entries} for invalidate_rloc
@@ -98,19 +93,10 @@ class MapCache:
         return self.occupancy()
 
     def _trie(self, vn, family, create=False):
-        key = (int(vn), family)
-        if key == self._trie_memo_key:
-            return self._trie_memo
+        key = (vn, family)
         trie = self._tries.get(key)
-        if trie is None:
-            if not create:
-                return None
-            trie = PatriciaTrie(family)
-            self._tries[key] = trie
-        # Only existing tries are memoized, so the memo never goes stale
-        # (tries are created once and never dropped).
-        self._trie_memo_key = key
-        self._trie_memo = trie
+        if trie is None and create:
+            trie = self._tries[key] = PatriciaTrie(family)
         return trie
 
     # -- index bookkeeping ---------------------------------------------------------------
@@ -156,7 +142,7 @@ class MapCache:
         entry = MapCacheEntry(vn, eid, rloc, group, version, expires, mac=mac,
                               last_used=self.sim.now)
         trie.insert(eid, entry)
-        self._note_added((int(vn), eid.family), entry, existing)
+        self._note_added((vn, eid.family), entry, existing)
         return True
 
     def install_negative(self, vn, eid, ttl=None):
@@ -166,7 +152,7 @@ class MapCache:
         entry = MapCacheEntry(vn, eid, None, None, 0, expires, negative=True,
                               last_used=self.sim.now)
         existing = trie.insert(eid, entry)
-        self._note_added((int(vn), eid.family), entry, existing)
+        self._note_added((vn, eid.family), entry, existing)
 
     # -- lookup ---------------------------------------------------------------------------
     def lookup(self, vn, address):
@@ -177,10 +163,11 @@ class MapCache:
         data plane can distinguish "miss, resolve it" from "known absent,
         use default route without re-querying".
         """
-        vn_int = int(vn)
         now = self.sim.now
         family = address.family
-        trie = self._trie(vn_int, family)
+        # _trie without its frame: ids hash in C, so the probe is one
+        # dict lookup on a (vn, family) tuple
+        trie = self._tries.get((vn, family))
         if trie is None:
             self.misses += 1
             return None
@@ -200,7 +187,7 @@ class MapCache:
                 self.stale_hits += 1
                 return entry
             trie.delete(prefix)
-            self._note_removed((vn_int, family), entry)
+            self._note_removed((vn, family), entry)
             self.expirations += 1
             self.misses += 1
             return None
@@ -217,7 +204,7 @@ class MapCache:
         if entry is None:
             return False
         trie.delete(eid)
-        self._note_removed((int(vn), eid.family), entry)
+        self._note_removed((vn, eid.family), entry)
         self.invalidations += 1
         return True
 
@@ -301,7 +288,7 @@ class MapCache:
         for (trie_vn, trie_family), trie in self._tries.items():
             if family is not None and trie_family != family:
                 continue
-            if vn is not None and trie_vn != int(vn):
+            if vn is not None and trie_vn != vn:
                 continue
             for _prefix, entry in trie.items():
                 if not entry.negative and entry.expires_at > now:

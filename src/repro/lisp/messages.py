@@ -82,7 +82,7 @@ class EidRecord:
 
     def __repr__(self):
         return "EidRecord(vn=%d, %s %s %s)" % (
-            int(self.vn), self.eid,
+            self.vn, self.eid,
             "withdrawn-from" if self.withdraw else "->", self.rloc,
         )
 
@@ -154,10 +154,10 @@ class MapRegister(ControlMessage):
     def __repr__(self):
         if self.records is not None:
             return "MapRegister(batch of %d, vn=%d)" % (
-                len(self.records), int(self.vn)
+                len(self.records), self.vn
             )
         return "MapRegister(vn=%d, %s -> %s%s)" % (
-            int(self.vn), self.eid, self.rloc, ", roam" if self.mobility else ""
+            self.vn, self.eid, self.rloc, ", roam" if self.mobility else ""
         )
 
 
@@ -189,7 +189,7 @@ class MapRequest(ControlMessage):
         self.reply_to = reply_to
 
     def __repr__(self):
-        return "MapRequest(vn=%d, %s)" % (int(self.vn), self.eid)
+        return "MapRequest(vn=%d, %s)" % (self.vn, self.eid)
 
 
 class MapReply(ControlMessage):
@@ -317,7 +317,7 @@ class AwayRegister(ControlMessage):
 
     def __repr__(self):
         return "AwayRegister(vn=%d, %s -> %s)" % (
-            int(self.vn), self.eid, self.away_rloc
+            self.vn, self.eid, self.away_rloc
         )
 
 
@@ -378,13 +378,14 @@ def control_packet(src_rloc, dst_rloc, message):
     Batched messages are charged their real size — the base message plus
     one :data:`RECORD_SIZE` per extra record — so bandwidth accounting
     stays honest when the fast path aggregates registrations.  Like
-    :func:`~repro.net.packet.make_udp_packet`, it hands its fresh header
-    list to the packet without ``Packet.__init__``'s copy.
+    :func:`~repro.net.packet.make_udp_packet`, it fills the slots itself
+    without the ``Packet.__init__`` frame.
     """
     extra = getattr(message, "record_count", 1) - 1
     packet = Packet.__new__(Packet)
-    packet.headers = [IpHeader(src_rloc, dst_rloc),
-                      UdpHeader(LISP_PORT, LISP_PORT)]
+    packet.inner = IpHeader(src_rloc, dst_rloc)
+    packet.l4 = UdpHeader(LISP_PORT, LISP_PORT)
+    packet.encap = None
     packet.payload = message
     packet.size = CONTROL_MESSAGE_SIZE + RECORD_SIZE * extra
     packet.meta = {}

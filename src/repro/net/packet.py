@@ -7,18 +7,23 @@ whose group-policy layout is part of what the paper's design depends on;
 they are packed once per :class:`~repro.net.vxlan.EncapTemplate` and by
 the codec, never per forwarded packet.
 
-A packet carries a stack of headers (outermost first) and an opaque
-payload.  Encapsulation pushes headers; decapsulation pops them.  The
-stacks the fabric builds have fixed shapes — an overlay or control
-packet is ``[IP, UDP]`` or ``[IP]``, encapsulated under
-``[IP, UDP, VXLAN-GPO]`` — so the hot readers (:meth:`Packet.inner_ip`,
-:func:`repro.net.vxlan.decapsulate`) read those shapes by position, with
-exact type checks, and fall back to a search for anything else.
+The fabric builds packets of fixed shapes, so a packet holds its
+headers in named slots rather than a list (sec. 3.3, fig. 2: one
+VXLAN-GPO encapsulation, never nested):
+
+* ``inner`` — the IP header of an overlay or control packet, or the
+  Ethernet header of an L2 service frame;
+* ``l4`` — the UDP header under ``inner``, or ``None``;
+* ``encap`` — ``None``, or the outer ``(IP, UDP, VXLAN-GPO)`` triple
+  that :func:`repro.net.vxlan.encapsulate` fills and
+  :func:`repro.net.vxlan.decapsulate` clears.
+
+Reading a header is one attribute read; nothing searches or type-checks
+a stack.
 """
 
 from __future__ import annotations
 
-from repro.core.errors import EncapsulationError
 from repro.net.addresses import MacAddress
 
 ETHERTYPE_IPV4 = 0x0800
@@ -104,7 +109,10 @@ class ArpPayload:
 
 
 class Packet:
-    """A simulated packet: header stack (outermost first) + payload.
+    """A simulated packet: header slots + payload.
+
+    ``inner``, ``l4`` and ``encap`` are the header slots described in
+    the module docstring.
 
     ``size`` is the wire size in bytes used for bandwidth accounting; the
     warehouse experiment uses 1500-byte packets like the paper.
@@ -117,96 +125,39 @@ class Packet:
     stand in for ``train`` back-to-back packets of the same flow (one
     simulator event instead of N).  Every counter and byte ledger on the
     forwarding path accounts ``train`` packet-equivalents, so a train of
-     16 and 16 individual packets produce identical statistics.  The
+    16 and 16 individual packets produce identical statistics.  The
     default of 1 keeps single packets exactly as before.
     """
 
-    __slots__ = ("headers", "payload", "size", "meta", "train")
+    __slots__ = ("inner", "l4", "encap", "payload", "size", "meta", "train")
 
-    def __init__(self, headers=None, payload=None, size=1500, meta=None,
-                 train=1):
-        self.headers = list(headers) if headers else []
+    def __init__(self, inner=None, l4=None, payload=None, size=1500,
+                 meta=None, train=1):
+        self.inner = inner
+        self.l4 = l4
+        self.encap = None
         self.payload = payload
         self.size = size
         self.meta = meta if meta is not None else {}
         self.train = train
 
-    # -- header stack ----------------------------------------------------------
-    def push(self, header):
-        """Add an outer header (encapsulation)."""
-        self.headers.insert(0, header)
-        return self
-
-    def pop(self):
-        """Remove and return the outermost header (decapsulation)."""
-        if not self.headers:
-            raise EncapsulationError("pop from packet with no headers")
-        return self.headers.pop(0)
-
-    def outer(self):
-        """The outermost header, or ``None`` for a bare payload."""
-        return self.headers[0] if self.headers else None
-
-    def find(self, header_type):
-        """Return the first header of the given type, or ``None``."""
-        for header in self.headers:
-            if isinstance(header, header_type):
-                return header
-        return None
-
-    @property
-    def ip(self):
-        """First IP header in the stack (the *outer* one if encapsulated)."""
-        return self.find(IpHeader)
-
-    @property
-    def eth(self):
-        return self.find(EthernetHeader)
-
-    def inner_ip(self):
-        """The innermost IP header (the overlay one if encapsulated)."""
-        headers = self.headers
-        if headers:
-            # Every overlay and control stack ends [..., IP, UDP] or
-            # [..., IP]: two exact-type index reads answer both.  Any
-            # other shape (or a header subclass) takes the scan.
-            last = headers[-1]
-            kind = type(last)
-            if kind is UdpHeader:
-                if len(headers) > 1 and type(headers[-2]) is IpHeader:
-                    return headers[-2]
-            elif kind is IpHeader:
-                return last
-        for header in reversed(headers):
-            if isinstance(header, IpHeader):
-                return header
-        return None
-
-    def copy(self):
-        """Shallow-ish copy: new header list/meta, shared payload object."""
-        clone = Packet(
-            headers=list(self.headers),
-            payload=self.payload,
-            size=self.size,
-            meta=dict(self.meta),
-            train=self.train,
-        )
-        return clone
-
     def __repr__(self):
-        return "Packet(%s)" % " | ".join(repr(h) for h in self.headers)
+        headers = (self.encap or ()) + (self.inner, self.l4)
+        return "Packet(%s)" % " | ".join(
+            repr(h) for h in headers if h is not None)
 
 
 def make_udp_packet(src_ip, dst_ip, src_port, dst_port, payload=None, size=1500):
     """Convenience constructor for the common overlay data packet.
 
-    Every overlay data packet is born here, so it skips ``Packet.__init__``
-    and its defensive ``list(headers)`` copy: the header list is built for
-    this packet alone.  The fields are exactly what ``Packet(...)`` sets.
+    Every overlay data packet is born here, so it fills the slots itself
+    and skips the ``Packet.__init__`` frame.  The fields are exactly
+    what ``Packet(...)`` sets.
     """
     packet = Packet.__new__(Packet)
-    packet.headers = [IpHeader(src_ip, dst_ip, IPPROTO_UDP),
-                      UdpHeader(src_port, dst_port)]
+    packet.inner = IpHeader(src_ip, dst_ip, IPPROTO_UDP)
+    packet.l4 = UdpHeader(src_port, dst_port)
+    packet.encap = None
     packet.payload = payload
     packet.size = size
     packet.meta = {}

@@ -21,6 +21,13 @@ reproduced (GroupId rides in the packet; the VNI selects the VRF on
 egress).  The per-packet path carries header *objects*, like the rest of
 :mod:`repro.net.packet`; bytes are packed once per :class:`EncapTemplate`
 (and by the codec tests), never per forwarded packet.
+
+Encapsulation fills a packet's ``encap`` slot with the outer
+``(IP, UDP, VXLAN-GPO)`` triple and decapsulation clears it; the inner
+headers are never touched.  The fabric never nests VXLAN, so a second
+encapsulation is an :class:`~repro.core.errors.EncapsulationError`, and
+``packet.encap is not None`` is how a device tells overlay data from
+control traffic.
 """
 
 from __future__ import annotations
@@ -75,10 +82,7 @@ class VxlanGpoHeader:
             byte1 |= 0x40
         if self.policy_applied:
             byte1 |= _FLAG_A
-        vni_and_reserved = (int(self.vni) << 8)
-        return struct.pack(
-            "!BBH I", byte0, byte1, int(self.group), vni_and_reserved
-        )
+        return struct.pack("!BBH I", byte0, byte1, self.group, self.vni << 8)
 
     @classmethod
     def decode(cls, data):
@@ -113,8 +117,8 @@ class VxlanGpoHeader:
 
     def __repr__(self):
         return "VXLAN-GPO(vni=%d, group=%d%s%s)" % (
-            int(self.vni),
-            int(self.group),
+            self.vni,
+            self.group,
             ", A" if self.policy_applied else "",
             ", D" if self.dont_learn else "",
         )
@@ -142,18 +146,22 @@ def flow_entropy_port(src, dst):
 def encapsulate(packet, outer_src, outer_dst, vni, group, src_port=None):
     """Wrap ``packet`` in outer IP/UDP/VXLAN-GPO headers (in place).
 
-    ``src_port`` defaults to a flow-entropy hash of the inner headers, the
-    standard trick that lets underlay ECMP spread overlay flows.
+    ``src_port`` defaults to a flow-entropy hash of the inner IP header,
+    the standard trick that lets underlay ECMP spread overlay flows.
     """
+    if packet.encap is not None:
+        raise EncapsulationError("encapsulate: packet is already encapsulated")
     if src_port is None:
-        inner = packet.inner_ip()
-        if inner is not None:
-            src_port = flow_entropy_port(inner.src, inner.dst)
+        inner = packet.inner
+        if isinstance(inner, IpHeader):
+            # flow_entropy_port(inner.src, inner.dst), without its frame
+            mixed = (inner.src.value * 2654435761) ^ inner.dst.value
+            src_port = 0xC000 | (mixed & 0x3FFF)
         else:
             src_port = 0xC000
     # positional arguments: a keyword call costs a visible share of a
     # per-packet encapsulation
-    packet.headers[:0] = (
+    packet.encap = (
         IpHeader(outer_src, outer_dst, IPPROTO_UDP),
         UdpHeader(src_port, VXLAN_PORT),
         VxlanGpoHeader(vni, group),
@@ -163,83 +171,56 @@ def encapsulate(packet, outer_src, outer_dst, vni, group, src_port=None):
 
 
 class EncapTemplate:
-    """A pre-built outer header stack for one forwarding decision.
+    """A pre-built outer header triple for one forwarding decision.
 
     The data-plane fast path memoizes, per megaflow, the three header
     objects :func:`encapsulate` builds for every packet: the outer
     :class:`~repro.net.packet.IpHeader`, the UDP header and the
-    :class:`VxlanGpoHeader`.  It also packs that header's **8 wire
-    bytes** once at install time, through :meth:`VxlanGpoHeader.encode`
-    (``encoded``), so the sec. 3.3/fig. 2 layout of every installed
-    decision is real bytes; no packet, fast or slow path, is packed.
+    :class:`VxlanGpoHeader` (``encap``).  It also packs that header's
+    **8 wire bytes** once at install time, through
+    :meth:`VxlanGpoHeader.encode` (``encoded``), so the sec. 3.3/fig. 2
+    layout of every installed decision is real bytes; no packet, fast or
+    slow path, is packed.
 
-    The header objects are shared by every packet the template
-    encapsulates, which is safe because nothing on the forwarding path
-    mutates outer headers after encapsulation (the ``policy_applied``
-    bit is baked in at template-build time, and TTL work happens on the
-    *inner* header).  The UDP source port — flow entropy in the slow
-    path — is frozen from the flow that installed the megaflow; the
-    analytic underlay never reads it, so freezing it is observationally
-    equivalent.
+    The triple is shared by every packet the template encapsulates,
+    which is safe because nothing on the forwarding path mutates outer
+    headers after encapsulation (the ``policy_applied`` bit is baked in
+    at template-build time, and TTL work happens on the *inner* header).
+    The UDP source port — flow entropy in the slow path — is frozen from
+    the flow that installed the megaflow; the analytic underlay never
+    reads it, so freezing it is observationally equivalent.
     """
 
-    __slots__ = ("outer_src", "outer_dst", "vxlan", "encoded", "_stack")
+    __slots__ = ("encap", "encoded")
 
     def __init__(self, outer_src, outer_dst, vni, group,
                  policy_applied=False, src_port=0xC000):
-        self.outer_src = outer_src
-        self.outer_dst = outer_dst
-        self.vxlan = VxlanGpoHeader(vni, group, policy_applied=policy_applied)
-        self.encoded = self.vxlan.encode()
-        self._stack = (
-            IpHeader(outer_src, outer_dst, proto=IPPROTO_UDP),
+        vxlan = VxlanGpoHeader(vni, group, policy_applied=policy_applied)
+        self.encoded = vxlan.encode()
+        self.encap = (
+            IpHeader(outer_src, outer_dst, IPPROTO_UDP),
             UdpHeader(src_port, VXLAN_PORT),
-            self.vxlan,
+            vxlan,
         )
 
     def apply(self, packet):
-        """Encapsulate ``packet`` with the cached stack (one list splice)."""
-        packet.headers[:0] = self._stack
+        """Encapsulate ``packet`` with the cached triple (one slot write)."""
+        if packet.encap is not None:
+            raise EncapsulationError("encapsulate: packet is already encapsulated")
+        packet.encap = self.encap
         packet.size += ENCAP_OVERHEAD
         return packet
 
 
 def decapsulate(packet):
-    """Strip outer IP/UDP/VXLAN-GPO headers; returns the GPO header.
+    """Strip the outer IP/UDP/VXLAN-GPO headers; returns the GPO header.
 
-    Raises :class:`EncapsulationError` when the packet is not a VXLAN
-    packet (wrong header stack or wrong UDP port).
+    Raises :class:`EncapsulationError` when the packet is not
+    encapsulated.
     """
-    headers = packet.headers
-    depth = len(headers)
-    # The stack encapsulate/EncapTemplate build passes on exact types;
-    # any other shape, header subclasses included, takes the checks.
-    if depth < 3 or type(headers[2]) is not VxlanGpoHeader \
-            or type(headers[1]) is not UdpHeader \
-            or type(headers[0]) is not IpHeader \
-            or headers[1].dst_port != VXLAN_PORT:
-        if depth < 1 or not isinstance(headers[0], IpHeader):
-            raise EncapsulationError("decapsulate: outer header is not IP")
-        if depth < 2 or not isinstance(headers[1], UdpHeader) \
-                or headers[1].dst_port != VXLAN_PORT:
-            raise EncapsulationError("decapsulate: not a VXLAN packet")
-        if depth < 3 or not isinstance(headers[2], VxlanGpoHeader):
-            raise EncapsulationError("decapsulate: missing VXLAN-GPO header")
-    vxlan = headers[2]
-    del headers[:3]
+    encap = packet.encap
+    if encap is None:
+        raise EncapsulationError("decapsulate: not a VXLAN packet")
+    packet.encap = None
     packet.size -= ENCAP_OVERHEAD
-    return vxlan
-
-
-def is_vxlan(packet):
-    """Is the packet's UDP header addressed to the VXLAN port?
-
-    What a fabric device asks of every underlay arrival to tell overlay
-    data from control.  Both stacks put UDP right under the outer IP
-    header; any other shape falls back to the first UDP header found.
-    """
-    headers = packet.headers
-    udp = headers[1] if len(headers) > 1 else None
-    if not isinstance(udp, UdpHeader):
-        udp = packet.find(UdpHeader)
-    return udp is not None and udp.dst_port == VXLAN_PORT
+    return encap[2]

@@ -50,14 +50,13 @@ class GroupAcl:
         return changed
 
     def remove(self, src_group, dst_group):
-        key = (int(src_group), int(dst_group))
+        key = (src_group, dst_group)
         self._rules.pop(key, None)
         self._versions.pop(key, None)
 
     def clear_destination(self, dst_group):
         """Drop all rules towards a group (endpoint's group went away)."""
-        dst = int(dst_group)
-        victims = [key for key in self._rules if key[1] == dst]
+        victims = [key for key in self._rules if key[1] == dst_group]
         for key in victims:
             del self._rules[key]
             self._versions.pop(key, None)
@@ -70,9 +69,11 @@ class GroupAcl:
         it to bake a megaflow's policy verdict at install time; the
         ledger side is replayed per packet(-equivalent) via
         :meth:`account`, so fig. 12's hit/drop permille is identical
-        whether packets took the slow path or a cached decision.
+        whether packets took the slow path or a cached decision.  Ids
+        are ``int`` subclasses, so the key needs no conversion to hit
+        the rows :meth:`program` keyed by plain ints.
         """
-        key = (int(src_group), int(dst_group))
+        key = (src_group, dst_group)
         action = self._rules.get(key)
         if action is None:
             if self.same_group_allowed and key[0] == key[1]:
@@ -110,7 +111,7 @@ class GroupAcl:
         return 1000.0 * self.drops / self.hits
 
     def version_of(self, src_group, dst_group):
-        return self._versions.get((int(src_group), int(dst_group)))
+        return self._versions.get((src_group, dst_group))
 
 class IpAclRule:
     """A legacy ACL line: src prefix, dst prefix, action."""
@@ -174,8 +175,8 @@ class IpAcl:
         """
         acl = cls(default_action=matrix.default_action)
         for rule in matrix.rules():
-            src_prefixes = members.get(int(rule.src_group), [])
-            dst_prefixes = members.get(int(rule.dst_group), [])
+            src_prefixes = members.get(rule.src_group, [])
+            dst_prefixes = members.get(rule.dst_group, [])
             for src in src_prefixes:
                 for dst in dst_prefixes:
                     acl.append(src, dst, rule.action)

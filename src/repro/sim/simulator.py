@@ -7,9 +7,10 @@ Design notes
   same unit.
 * ``schedule(delay, fn, *args)`` is relative; ``schedule_at`` is absolute.
   Both return the :class:`~repro.sim.events.Event` handle a caller needs
-  to cancel.  ``post(delay, fn, *args)`` is ``schedule`` for the caller
-  that keeps no handle — a packet delivery, a one-shot timer — and
-  allocates none: the heap entry carries the callback itself.
+  to cancel.  ``post(delay, fn, *args)`` and ``post_at(time, fn, *args)``
+  are the two for the caller that keeps no handle — a packet delivery, a
+  one-shot timer, a queued job — and allocate none: the heap entry
+  carries the callback itself.
 * The simulator never advances past events: ``run(until=t)`` executes every
   event with time <= t and leaves ``now`` at t, so periodic samplers can be
   interleaved with ``run`` windows.  A run stopped by ``max_events`` with
@@ -103,6 +104,18 @@ class Simulator:
                 "cannot schedule at %r, now is %r" % (time, self.now)
             )
         return self._queue.push(time, callback, args)
+
+    def post_at(self, time, callback, *args):
+        """:meth:`post` at absolute simulated ``time``: no handle, no
+        :class:`Event`, the same ``(time, seq)`` order as
+        :meth:`schedule_at`."""
+        if not time >= self.now:
+            raise SimulationError(
+                "cannot schedule at %r, now is %r" % (time, self.now)
+            )
+        queue = self._queue
+        heappush(queue._heap, (time, next(queue._counter), callback, args))
+        queue._live += 1
 
     def schedule_daemon(self, delay, callback, *args):
         """Schedule a background event that does not count as pending work.

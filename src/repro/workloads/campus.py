@@ -241,13 +241,13 @@ class CampusWorkload:
             departure_h = self._presence_rng.truncated_gauss(
                 profile.departure_hour, profile.presence_jitter_h, 15.0, 23.0
             )
-            sim.schedule_at(base + arrival_h * self.hour_s, self._admit_home, endpoint)
-            sim.schedule_at(base + departure_h * self.hour_s, self._depart, endpoint)
+            sim.post_at(base + arrival_h * self.hour_s, self._admit_home, endpoint)
+            sim.post_at(base + departure_h * self.hour_s, self._depart, endpoint)
             # Mid-day roams between edges (meeting rooms, cafeteria).
             roams = self._roam_rng.random() < self.roams_per_user_day
             if roams and profile.num_edges > 1:
                 roam_h = self._roam_rng.uniform(arrival_h + 0.5, departure_h - 0.5)
-                sim.schedule_at(base + roam_h * self.hour_s, self._roam, endpoint)
+                sim.post_at(base + roam_h * self.hour_s, self._roam, endpoint)
 
     def _roam(self, endpoint):
         if not endpoint.attached:
@@ -314,7 +314,7 @@ class CampusWorkload:
         sim = self.fabric.sim
         t = self.sample_interval_s
         while t <= until:
-            sim.schedule_at(t, self._sample)
+            sim.post_at(t, self._sample)
             t += self.sample_interval_s
 
     # ------------------------------------------------------------------ main entry

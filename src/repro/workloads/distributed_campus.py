@@ -160,8 +160,8 @@ class DistributedCampusWorkload:
                 out_at = start + self._roam_rng.uniform(0.1, duration_s * 0.4)
                 back_at = start + self._roam_rng.uniform(duration_s * 0.6,
                                                          duration_s * 0.9)
-                sim.schedule_at(out_at, self._roam, endpoint, away_site)
-                sim.schedule_at(back_at, self._roam, endpoint, site_index)
+                sim.post_at(out_at, self._roam, endpoint, away_site)
+                sim.post_at(back_at, self._roam, endpoint, site_index)
 
         sim.run(until=start + duration_s)
         for generator in self._generators:

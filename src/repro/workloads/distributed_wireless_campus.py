@@ -271,7 +271,7 @@ class DistributedWirelessCampusWorkload:
             wlc.on_registered = _note
         for station in self.stations:
             at = sim.now + self._walk_rng.uniform(0.0, window_s)
-            sim.schedule_at(at, self._storm_move, station)
+            sim.post_at(at, self._storm_move, station)
         sim.run(until=start + window_s + settle_s)
         self.net.settle(max_time=300.0)
         for wlc in self.wireless.wlcs:

@@ -187,7 +187,7 @@ class WarehouseLispRun:
                 at = start + t + (index + 1) * monitored_period / (len(self._monitored) + 1)
                 if at - start >= duration:
                     break
-                sim.schedule_at(at, self._move_host, host)
+                sim.post_at(at, self._move_host, host)
                 monitored_moves += 1
             t += monitored_period
         # Background movers fill the rest of the budget.
@@ -196,7 +196,7 @@ class WarehouseLispRun:
         for _ in range(remaining):
             host = self.rng.choice(background)
             at = start + self.rng.uniform(0, duration)
-            sim.schedule_at(at, self._move_host, host)
+            sim.post_at(at, self._move_host, host)
 
     # -- main entry -----------------------------------------------------------------------
     def run(self):
@@ -245,10 +245,7 @@ class _BgpHostEdge:
             if payload is not None and getattr(payload, "kind", None) == "bgp-update":
                 peer_deliver(packet)
                 return
-            inner = packet.inner_ip()
-            if inner is None:
-                return
-            host = self.hosts.get(inner.dst)
+            host = self.hosts.get(packet.inner.dst)
             if host is not None:
                 host.receive(packet, self.sim.now)
 
@@ -411,7 +408,7 @@ class WarehouseBgpRun:
                 at = start + t + (index + 1) * monitored_period / (len(self._monitored) + 1)
                 if at - start >= duration:
                     break
-                sim.schedule_at(at, self._move_host, host)
+                sim.post_at(at, self._move_host, host)
                 monitored_moves += 1
             t += monitored_period
         background = self.hosts[len(self._monitored):]
@@ -419,7 +416,7 @@ class WarehouseBgpRun:
         for _ in range(remaining):
             host = self.rng.choice(background)
             at = start + self.rng.uniform(0, duration)
-            sim.schedule_at(at, self._move_host, host)
+            sim.post_at(at, self._move_host, host)
 
     # -- main entry ------------------------------------------------------------------------
     def run(self):

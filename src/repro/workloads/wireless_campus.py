@@ -227,7 +227,7 @@ class WirelessCampusWorkload:
         wlc.on_registered = _note_completion
         for station in self.stations:
             at = sim.now + self._walk_rng.uniform(0.0, window_s)
-            sim.schedule_at(at, self._storm_move, station)
+            sim.post_at(at, self._storm_move, station)
         sim.run(until=sim.now + window_s + settle_s)
         self.fabric.settle()
         wlc.on_registered = previous_hook

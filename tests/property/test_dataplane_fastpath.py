@@ -66,7 +66,7 @@ def _build(megaflow, enforcement="egress"):
     deliveries = []
 
     def sink(endpoint, packet, now):
-        inner = packet.inner_ip()
+        inner = packet.inner
         deliveries.append((endpoint.identity, str(inner.src), str(inner.dst),
                            inner.ttl, packet.size, packet.train, now))
 

@@ -1,9 +1,11 @@
-"""Property-based tests for the VXLAN-GPO wire codec and header stacks.
+"""Property-based tests for the VXLAN-GPO wire codec and encapsulation.
 
-The codec round-trips real bytes.  The stack helpers read the shapes the
-fabric builds by position (``Packet.inner_ip``, ``decapsulate``); drawn
-stacks — canonical or not, header subclasses included — must get the
-answers a plain ``isinstance`` search gives.
+The codec round-trips real bytes.  Encapsulation is checked as an
+oracle that does not depend on how a packet holds its headers: encap
+then decap gives back the VNI, group and A bit and leaves the inner
+headers and size as they were; a template encapsulates exactly like
+``encapsulate`` with the same source port; decapsulating a plain packet
+and encapsulating twice both raise.
 """
 
 import pytest
@@ -14,18 +16,14 @@ from repro.core.errors import EncapsulationError
 from repro.core.types import GroupId, VNId
 from repro.lisp.messages import MapRequest, control_packet
 from repro.net.addresses import IPv4Address, IPv6Address, MacAddress
-from repro.net.packet import (
-    EthernetHeader,
-    IpHeader,
-    Packet,
-    UdpHeader,
-    make_udp_packet,
-)
+from repro.net.packet import EthernetHeader, Packet, make_udp_packet
 from repro.net.vxlan import (
     ENCAP_OVERHEAD,
     VXLAN_PORT,
+    EncapTemplate,
     VxlanGpoHeader,
     decapsulate,
+    encapsulate,
     flow_entropy_port,
 )
 
@@ -62,84 +60,76 @@ def test_reserved_byte_zero(vni, group):
     assert data[7] == 0   # low byte of the VNI word is reserved
 
 
-# -- the positional fast paths give the generic answers ----------------------
-
-class _SubIp(IpHeader):
-    __slots__ = ()
-
-
-class _SubUdp(UdpHeader):
-    __slots__ = ()
-
+# -- encap/decap oracle, independent of how a packet holds its headers ------
 
 _ADDR = IPv4Address(0x0A000001)
-_headers = st.one_of(
-    st.builds(lambda: EthernetHeader(MacAddress(1), MacAddress(2))),
-    st.builds(lambda: IpHeader(_ADDR, _ADDR)),
-    st.builds(lambda: _SubIp(_ADDR, _ADDR)),
-    st.builds(UdpHeader, st.integers(0, 0xFFFF),
-              st.sampled_from([VXLAN_PORT, 40000, 0])),
-    st.builds(_SubUdp, st.integers(0, 0xFFFF),
-              st.sampled_from([VXLAN_PORT, 40000])),
-    st.builds(VxlanGpoHeader, st.integers(0, 0xFFFFFF), st.integers(0, 0xFFFF)),
-)
-#: free stacks, plus stacks one header away from the canonical
-#: [IP, UDP:4789, VXLAN-GPO, ...] (each of the three slots may be off)
-_stacks = st.one_of(
-    st.lists(_headers, max_size=6),
-    st.builds(
-        lambda outer, udp, gpo, tail: [outer, udp, gpo] + tail,
-        st.sampled_from([IpHeader(_ADDR, _ADDR), IpHeader(_ADDR, _ADDR),
-                         _SubIp(_ADDR, _ADDR),
-                         EthernetHeader(MacAddress(1), MacAddress(2))]),
-        st.sampled_from([UdpHeader(5, VXLAN_PORT), UdpHeader(5, VXLAN_PORT),
-                         UdpHeader(5, 40000), _SubUdp(5, VXLAN_PORT)]),
-        st.sampled_from([VxlanGpoHeader(1, 2), VxlanGpoHeader(1, 2),
-                         IpHeader(_ADDR, _ADDR)]),
-        st.lists(_headers, max_size=3)),
+_ids = st.tuples(st.integers(0, (1 << 24) - 1), st.integers(0, (1 << 16) - 1),
+                 st.booleans())
+_addrs = st.builds(IPv4Address, st.integers(0, (1 << 32) - 1))
+_plain = st.one_of(
+    st.builds(lambda src, dst, size: make_udp_packet(src, dst, 40000, 40001,
+                                                     size=size),
+              _addrs, _addrs, st.integers(64, 9000)),
+    st.builds(lambda src, dst: control_packet(src, dst, MapRequest(
+        VNId(1), _ADDR, src)), _addrs, _addrs),
+    st.builds(lambda size: Packet(
+        EthernetHeader(MacAddress(1), MacAddress(2)), size=size),
+        st.integers(64, 9000)),
 )
 
 
-def _reference_inner_ip(headers):
-    for header in reversed(headers):
-        if isinstance(header, IpHeader):
-            return header
-    return None
+def _headers(packet):
+    """What the rest of the fabric may read of a packet besides encap."""
+    return packet.inner, packet.l4, packet.payload, packet.train
 
 
-def _reference_decapsulate(headers):
-    """The isinstance checks alone: (GPO header, rest) or the error text."""
-    depth = len(headers)
-    if depth < 1 or not isinstance(headers[0], IpHeader):
-        return "decapsulate: outer header is not IP"
-    if depth < 2 or not isinstance(headers[1], UdpHeader) \
-            or headers[1].dst_port != VXLAN_PORT:
-        return "decapsulate: not a VXLAN packet"
-    if depth < 3 or not isinstance(headers[2], VxlanGpoHeader):
-        return "decapsulate: missing VXLAN-GPO header"
-    return headers[2], headers[3:]
+@given(_plain, _ids, _addrs, _addrs)
+def test_encap_decap_round_trip(packet, ids, outer_src, outer_dst):
+    vni, group, applied = ids
+    before, size = _headers(packet), packet.size
+    encapsulate(packet, outer_src, outer_dst, VNId(vni), GroupId(group))
+    packet.encap[2].policy_applied = applied
+    assert packet.size == size + ENCAP_OVERHEAD
+    assert packet.encap[0].dst == outer_dst
+    assert packet.encap[1].dst_port == VXLAN_PORT
+    gpo = decapsulate(packet)
+    assert (gpo.vni, gpo.group, gpo.policy_applied) == (vni, group, applied)
+    assert all(a is b for a, b in zip(_headers(packet), before))
+    assert packet.size == size
 
 
-@given(_stacks)
-def test_inner_ip_is_the_reversed_scan(headers):
-    assert Packet(headers=headers).inner_ip() is _reference_inner_ip(headers)
+@given(_plain, _ids, _addrs, _addrs, st.integers(0, 0xFFFF))
+def test_template_equals_encapsulate(packet, ids, outer_src, outer_dst, port):
+    vni, group, applied = ids
+    twin = Packet(packet.inner, packet.l4, packet.payload, packet.size)
+    encapsulate(packet, outer_src, outer_dst, vni, group, src_port=port)
+    packet.encap[2].policy_applied = applied
+    template = EncapTemplate(outer_src, outer_dst, vni, group,
+                             policy_applied=applied, src_port=port)
+    template.apply(twin)
+    assert twin.size == packet.size
+    for slow, fast in zip(packet.encap, twin.encap):
+        assert type(slow) is type(fast)
+        assert {k: getattr(slow, k) for k in type(slow).__slots__} == \
+               {k: getattr(fast, k) for k in type(fast).__slots__}
+    assert template.encoded == packet.encap[2].encode()
+    assert _headers(twin) == _headers(packet)
 
 
-@given(_stacks, st.integers(ENCAP_OVERHEAD, 9000))
-def test_decapsulate_is_the_isinstance_reference(headers, size):
-    expected = _reference_decapsulate(headers)
-    packet = Packet(headers=headers, size=size)
-    if isinstance(expected, str):
-        with pytest.raises(EncapsulationError) as raised:
-            decapsulate(packet)
-        assert str(raised.value) == expected
-        assert packet.headers == headers and packet.size == size
-    else:
-        vxlan, rest = expected
-        assert decapsulate(packet) is vxlan
-        assert packet.headers == rest
-        assert all(a is b for a, b in zip(packet.headers, rest))
-        assert packet.size == size - ENCAP_OVERHEAD
+@given(_plain, _ids)
+def test_decapsulating_a_plain_packet_raises(packet, ids):
+    before, size = _headers(packet), packet.size
+    with pytest.raises(EncapsulationError):
+        decapsulate(packet)
+    assert _headers(packet) == before and packet.size == size
+    vni, group, _applied = ids
+    encapsulate(packet, _ADDR, _ADDR, vni, group)
+    encap, size = packet.encap, packet.size
+    with pytest.raises(EncapsulationError):
+        encapsulate(packet, _ADDR, _ADDR, vni, group)
+    with pytest.raises(EncapsulationError):
+        EncapTemplate(_ADDR, _ADDR, vni, group).apply(packet)
+    assert packet.encap is encap and packet.size == size
 
 
 class _SubVn(VNId):
@@ -163,6 +153,10 @@ def test_flow_entropy_port_is_the_int_mix(src, dst, wide):
                  (IPv6Address(wide), IPv4Address(dst))):
         mixed = (int(a) * 2654435761) ^ int(b)
         assert flow_entropy_port(a, b) == 0xC000 | (mixed & 0x3FFF)
+        # encapsulate's default source port is the same mix, inlined
+        packet = make_udp_packet(a, b, 1, 2)
+        encapsulate(packet, _ADDR, _ADDR, 1, 1)
+        assert packet.encap[1].src_port == flow_entropy_port(a, b)
 
 
 @given(st.lists(st.sampled_from(["udp", "control"]), min_size=2, max_size=6),
@@ -172,13 +166,17 @@ def test_built_packets_own_their_header_lists(kinds, victim):
         make_udp_packet(_ADDR, _ADDR, 1, 2) if kind == "udp"
         else control_packet(_ADDR, _ADDR, MapRequest(VNId(1), _ADDR, _ADDR))
         for kind in kinds]
-    before = [list(packet.headers) for packet in packets]
+    before = [(p.inner, p.l4, p.inner.ttl, p.l4.dst_port) for p in packets]
     victim %= len(packets)
-    packets[victim].headers.append(UdpHeader(9, 9))
-    packets[victim].headers[0] = EthernetHeader(MacAddress(1), MacAddress(2))
+    packets[victim].inner.ttl = 1
+    packets[victim].l4.dst_port = 9
     packets[victim].meta["seen"] = True
     for index, packet in enumerate(packets):
         assert (packet.train, packet.payload is None) == (
             1, kinds[index] == "udp")
         if index != victim:
-            assert packet.headers == before[index] and packet.meta == {}
+            assert (packet.inner, packet.l4, packet.inner.ttl,
+                    packet.l4.dst_port) == before[index]
+            assert packet.meta == {}
+            assert packet.inner is not packets[victim].inner
+            assert packet.l4 is not packets[victim].l4

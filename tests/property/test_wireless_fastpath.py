@@ -81,7 +81,7 @@ def _build(megaflow, enforcement, num_sites):
     deliveries = []
 
     def sink(endpoint, packet, now):
-        inner = packet.inner_ip()
+        inner = packet.inner
         deliveries.append((endpoint.identity, str(inner.src), str(inner.dst),
                            inner.ttl, packet.size, packet.train, now))
 

@@ -6,7 +6,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.types import GroupId, VNId
 from repro.fabric import DhcpServer, Endpoint, VrfTable
 from repro.fabric.vrf import LocalEndpointEntry
-from repro.net.addresses import IPv4Address, IPv6Address, MacAddress, Prefix
+from repro.net.addresses import IPv4Address, IPv6Address, MacAddress
 
 VN = VNId(100)
 
@@ -164,13 +164,10 @@ class TestVrf:
         assert vrf.lookup_identity("b") is second and len(vrf) == 1
         assert vrf.remove("b") is second
 
-    def test_ipv6_and_prefix_keys(self):
+    def test_ipv6_keys(self):
         vrf, (first, second) = _dual_stack_vrf()
         assert vrf.lookup_ip(VN, second.ipv6) is second
-        assert vrf.lookup_ip(VN, second.ipv6.to_prefix()) is second
-        assert vrf.lookup_ip(VN, Prefix(second.ipv6, 64)) is None
-        assert vrf.lookup_ip(VN, first.ip.to_prefix()) is first
-        assert vrf.lookup_ip(VN, Prefix(first.ip, 0)) is None
+        assert vrf.lookup_ip(VN, first.ip) is first
         # An IPv4 value never matches the IPv6 table.
         assert vrf.lookup_ip(VN, IPv6Address(first.ip.value)) is None
         vrf.remove("host2")
@@ -181,7 +178,6 @@ class TestVrf:
         # lookup_ip; that is a no-match, not a walk of the IPv6 table.
         vrf, (first, _second) = _dual_stack_vrf()
         assert vrf.lookup_ip(VN, first.mac) is None
-        assert vrf.lookup_ip(VN, first.mac.to_prefix()) is None
         assert vrf.lookup_ip(VN, MacAddress(first.ipv6.value)) is None
         assert vrf.lookup_mac(VN, first.mac) is first
 

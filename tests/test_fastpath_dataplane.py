@@ -148,18 +148,18 @@ class TestEncapTemplate:
         slow = make_udp_packet(IPv4Address.parse("10.0.0.1"),
                                IPv4Address.parse("10.0.0.2"), 40000, 40000,
                                size=600)
-        fast = slow.copy()
+        fast = Packet(slow.inner, slow.l4, size=slow.size)
         encapsulate(slow, src, dst, VN, 10)
         template = EncapTemplate(src, dst, VN, 10,
-                                 src_port=slow.headers[1].src_port)
+                                 src_port=slow.encap[1].src_port)
         template.apply(fast)
         assert fast.size == slow.size
-        assert fast.headers[0].src == slow.headers[0].src
-        assert fast.headers[0].dst == slow.headers[0].dst
-        assert fast.headers[1].src_port == slow.headers[1].src_port
-        assert fast.headers[2] == slow.headers[2]
+        assert fast.encap[0].src == slow.encap[0].src
+        assert fast.encap[0].dst == slow.encap[0].dst
+        assert fast.encap[1].src_port == slow.encap[1].src_port
+        assert fast.encap[2] == slow.encap[2]
         # The 8 wire bytes are cached but real: identical to a fresh pack.
-        assert template.encoded == slow.headers[2].encode()
+        assert template.encoded == slow.encap[2].encode()
         assert len(template.encoded) == VxlanGpoHeader.WIRE_SIZE
         # And a template-encapsulated packet decapsulates like any other.
         vxlan = decapsulate(fast)
@@ -180,10 +180,11 @@ class TestEncapTemplate:
                                  IPv4Address.parse("192.168.0.2"), VN, 10)
         a = make_udp_packet(IPv4Address.parse("10.0.0.1"),
                             IPv4Address.parse("10.0.0.2"), 1, 2)
-        b = a.copy()
+        b = make_udp_packet(IPv4Address.parse("10.0.0.1"),
+                            IPv4Address.parse("10.0.0.2"), 1, 2)
         template.apply(a)
         template.apply(b)
-        assert a.headers[2] is b.headers[2]   # no per-packet allocation
+        assert a.encap is b.encap   # no per-packet allocation
 
 
 class TestAclAccounting:
@@ -237,8 +238,13 @@ class TestPacketTrains:
     def test_default_train_is_one_and_copy_preserves_it(self):
         packet = Packet(size=600)
         assert packet.train == 1
-        packet.train = 16
-        assert packet.copy().train == 16
+        # a train stays one through encapsulation and decapsulation
+        train = make_udp_packet(IPv4Address.parse("10.0.0.1"),
+                                IPv4Address.parse("10.0.0.2"), 1, 2)
+        train.train = 16
+        decapsulate(encapsulate(train, IPv4Address(1), IPv4Address(2), VN, 10))
+        assert train.train == 16
+        assert Packet(size=600, train=16).train == 16
 
     def test_drops_workload_coalesced_retries_identical_ledger(self):
         baseline = run_device(VPN_PROFILE, days=1, seed=3)
@@ -591,7 +597,7 @@ class TestBorderTransitLeg:
         net.send(a, b.ip, size=600)
         net.settle()                     # transit cache now holds the aggregate
         packet = make_udp_packet(a.ip, b.ip, 40000, 40000, size=600)
-        packet.inner_ip().ttl = 1
+        packet.inner.ttl = 1
         a.send(packet)
         net.settle()
         assert border.counters.ttl_drops == 1

@@ -31,10 +31,8 @@ def l2_fabric():
 def _arp_request(sender, target_ip):
     arp = ArpPayload(ArpPayload.REQUEST, sender.mac, sender.ip,
                      BROADCAST_MAC, target_ip)
-    return Packet(
-        headers=[EthernetHeader(sender.mac, BROADCAST_MAC, ETHERTYPE_ARP)],
-        payload=arp, size=64,
-    )
+    return Packet(EthernetHeader(sender.mac, BROADCAST_MAC, ETHERTYPE_ARP),
+                  payload=arp, size=64)
 
 
 def test_gateways_installed(l2_fabric):
@@ -82,7 +80,7 @@ def test_unicast_l2_frame_cross_edge(l2_fabric):
     # Learn b's MAC first (ARP), then send a unicast frame to it.
     gateway.inject_frame(a, _arp_request(a, b.ip))
     net.settle()
-    frame = Packet(headers=[EthernetHeader(a.mac, b.mac, 0x88B5)],
+    frame = Packet(EthernetHeader(a.mac, b.mac, 0x88B5),
                    payload="l2-data", size=200)
     gateway.inject_frame(a, frame)
     net.settle()
@@ -93,7 +91,7 @@ def test_unknown_unicast_not_flooded(l2_fabric):
     net, a, b, c = l2_fabric
     from repro.net.addresses import MacAddress
     gateway = net.edges[0].l2_gateway
-    frame = Packet(headers=[EthernetHeader(a.mac, MacAddress(0xDEADBEEF), 0x88B5)],
+    frame = Packet(EthernetHeader(a.mac, MacAddress(0xDEADBEEF), 0x88B5),
                    payload="x", size=200)
     gateway.inject_frame(a, frame)
     net.settle()
@@ -107,7 +105,7 @@ def test_vlan_scoped_flood_stays_local(l2_fabric):
     # Put a and c in VLAN 10 on edge 0.
     edge0.vrf.lookup_identity("a").vlan = 10
     edge0.vrf.lookup_identity("c").vlan = 10
-    frame = Packet(headers=[EthernetHeader(a.mac, BROADCAST_MAC, 0x88B5)],
+    frame = Packet(EthernetHeader(a.mac, BROADCAST_MAC, 0x88B5),
                    payload="bcast", size=100)
     delivered = edge0.l2_gateway.flood_local_vlan(
         a.vn, 10, frame, exclude_identity="a"

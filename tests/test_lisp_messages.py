@@ -68,8 +68,9 @@ def test_control_packet_shape():
     message = MapRequest(VN, EID, reply_to=RLOC)
     src = IPv4Address.parse("192.168.0.9")
     packet = control_packet(src, RLOC, message)
-    ip_header = packet.find(IpHeader)
-    udp = packet.find(UdpHeader)
+    ip_header, udp = packet.inner, packet.l4
+    assert type(ip_header) is IpHeader and type(udp) is UdpHeader
+    assert packet.encap is None
     assert ip_header.src == src and ip_header.dst == RLOC
     assert udp.src_port == LISP_PORT and udp.dst_port == LISP_PORT
     assert packet.size == CONTROL_MESSAGE_SIZE

@@ -16,59 +16,59 @@ from repro.net.packet import (
     make_udp_packet,
 )
 from repro.net.addresses import IPv4Address, MacAddress
+from repro.net.vxlan import decapsulate, encapsulate
+
+
+def _udp():
+    return make_udp_packet(IPv4Address(1), IPv4Address(2), 10, 20)
 
 
 def test_push_pop_lifo():
-    packet = Packet()
-    h1 = IpHeader(IPv4Address(1), IPv4Address(2))
-    h2 = UdpHeader(1, 2)
-    packet.push(h2)
-    packet.push(h1)
-    assert packet.outer() is h1
-    assert packet.pop() is h1
-    assert packet.pop() is h2
+    # Encapsulation pushes the outer triple over the inner headers;
+    # decapsulation pops exactly that triple and nothing else.
+    packet = _udp()
+    inner, l4 = packet.inner, packet.l4
+    encapsulate(packet, IPv4Address(3), IPv4Address(4), VNId(1), 2)
+    outer_ip, udp, gpo = packet.encap
+    assert (outer_ip.src, outer_ip.dst) == (IPv4Address(3), IPv4Address(4))
+    assert decapsulate(packet) is gpo
+    assert packet.encap is None
+    assert packet.inner is inner and packet.l4 is l4
 
 
 def test_pop_empty_raises():
-    with pytest.raises(EncapsulationError):
-        Packet().pop()
+    for packet in (Packet(), _udp()):
+        with pytest.raises(EncapsulationError):
+            decapsulate(packet)
 
 
 def test_find_by_type():
-    packet = make_udp_packet(IPv4Address(1), IPv4Address(2), 10, 20)
-    assert isinstance(packet.find(IpHeader), IpHeader)
-    assert isinstance(packet.find(UdpHeader), UdpHeader)
-    assert packet.find(EthernetHeader) is None
+    packet = _udp()
+    assert type(packet.inner) is IpHeader
+    assert type(packet.l4) is UdpHeader
+    assert packet.encap is None
+    frame = Packet(EthernetHeader(MacAddress(1), BROADCAST_MAC))
+    assert type(frame.inner) is EthernetHeader and frame.l4 is None
 
 
 def test_inner_ip_returns_innermost():
-    inner = IpHeader(IPv4Address(1), IPv4Address(2))
-    outer = IpHeader(IPv4Address(3), IPv4Address(4))
-    packet = Packet(headers=[outer, inner])
-    assert packet.inner_ip() is inner
-    assert packet.ip is outer
-
-
-def test_copy_isolates_header_list_and_meta():
-    packet = make_udp_packet(IPv4Address(1), IPv4Address(2), 10, 20)
-    packet.meta["sent_at"] = 1.0
-    clone = packet.copy()
-    clone.pop()
-    clone.meta["sent_at"] = 2.0
-    assert len(packet.headers) == 2
-    assert packet.meta["sent_at"] == 1.0
+    packet = _udp()
+    inner = packet.inner
+    encapsulate(packet, IPv4Address(3), IPv4Address(4), VNId(1), 2)
+    assert packet.inner is inner
+    assert packet.encap[0] is not inner and packet.encap[0].src == IPv4Address(3)
 
 
 def test_make_udp_packet_defaults():
-    packet = make_udp_packet(IPv4Address(1), IPv4Address(2), 10, 20)
+    packet = _udp()
     assert packet.size == 1500
-    assert packet.ip.ttl == 64
-    assert packet.find(UdpHeader).dst_port == 20
+    assert packet.inner.ttl == 64
+    assert packet.l4.dst_port == 20
 
 
 def test_built_packets_skip_the_constructor_copy(monkeypatch):
-    """Data and control packets are built with their own header list;
-    neither constructor goes through ``Packet.__init__``."""
+    """Data and control packets fill their own slots; neither
+    constructor goes through ``Packet.__init__``."""
     def refuse(self, *args, **kwargs):
         raise AssertionError("Packet.__init__ on a built packet")
 
@@ -80,8 +80,16 @@ def test_built_packets_skip_the_constructor_copy(monkeypatch):
                                         IPv4Address(3)))
     assert (data.payload, data.size, data.meta, data.train) == ("x", 700, {}, 1)
     assert control.meta == {} and control.train == 1
-    assert [type(h) for h in data.headers + control.headers] == [
-        IpHeader, UdpHeader, IpHeader, UdpHeader]
+    for packet in (data, control):
+        assert (type(packet.inner), type(packet.l4), packet.encap) == (
+            IpHeader, UdpHeader, None)
+
+
+def test_repr_lists_outer_then_inner():
+    packet = _udp()
+    assert repr(packet) == "Packet(%r | %r)" % (packet.inner, packet.l4)
+    encapsulate(packet, IPv4Address(3), IPv4Address(4), VNId(1), 2)
+    assert repr(packet).startswith("Packet(IP(") and "VXLAN-GPO(vni=1" in repr(packet)
 
 
 def test_arp_payload_semantics():

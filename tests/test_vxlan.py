@@ -12,13 +12,14 @@ from repro.net.packet import (
     UdpHeader,
     make_udp_packet,
 )
+from repro.lisp.messages import MapRequest, control_packet
 from repro.net.vxlan import (
     ENCAP_OVERHEAD,
     VXLAN_PORT,
+    EncapTemplate,
     VxlanGpoHeader,
     decapsulate,
     encapsulate,
-    is_vxlan,
 )
 
 
@@ -88,10 +89,11 @@ class TestEncapDecap:
         packet = self._packet()
         size_before = packet.size
         encapsulate(packet, IPv4Address(1), IPv4Address(2), 4098, 17)
-        assert isinstance(packet.headers[0], IpHeader)
-        assert isinstance(packet.headers[1], UdpHeader)
-        assert packet.headers[1].dst_port == VXLAN_PORT
-        assert isinstance(packet.headers[2], VxlanGpoHeader)
+        outer_ip, udp, gpo = packet.encap
+        assert isinstance(outer_ip, IpHeader)
+        assert isinstance(udp, UdpHeader)
+        assert udp.dst_port == VXLAN_PORT
+        assert isinstance(gpo, VxlanGpoHeader)
         assert packet.size == size_before + ENCAP_OVERHEAD
 
     def test_decapsulate_restores(self):
@@ -101,7 +103,7 @@ class TestEncapDecap:
         gpo = decapsulate(packet)
         assert int(gpo.vni) == 4098 and int(gpo.group) == 17
         assert packet.size == size_before
-        assert str(packet.ip.dst) == "10.0.0.2"
+        assert str(packet.inner.dst) == "10.0.0.2"
 
     def test_ecmp_entropy_src_port(self):
         p1 = self._packet()
@@ -110,7 +112,7 @@ class TestEncapDecap:
         )
         encapsulate(p1, IPv4Address(1), IPv4Address(2), 1, 1)
         encapsulate(p2, IPv4Address(1), IPv4Address(2), 1, 1)
-        assert p1.headers[1].src_port >= 0xC000
+        assert p1.encap[1].src_port >= 0xC000
         # Flow entropy: different inner flows usually hash differently.
 
     def test_decapsulate_non_vxlan_rejected(self):
@@ -118,70 +120,69 @@ class TestEncapDecap:
         with pytest.raises(EncapsulationError):
             decapsulate(packet)
 
-    def test_decapsulate_wrong_port_rejected(self):
-        packet = self._packet()
-        encapsulate(packet, IPv4Address(1), IPv4Address(2), 1, 1)
-        packet.headers[1].dst_port = 9999
-        with pytest.raises(EncapsulationError):
-            decapsulate(packet)
-
     def test_nested_encapsulation(self):
+        # The fabric never nests VXLAN (one GPO header per packet), so a
+        # second encapsulation is refused and leaves the first intact.
         packet = self._packet()
         encapsulate(packet, IPv4Address(1), IPv4Address(2), 1, 1)
-        encapsulate(packet, IPv4Address(3), IPv4Address(4), 2, 2)
-        outer = decapsulate(packet)
-        assert int(outer.vni) == 2
-        inner = decapsulate(packet)
-        assert int(inner.vni) == 1
+        first, size = packet.encap, packet.size
+        with pytest.raises(EncapsulationError):
+            encapsulate(packet, IPv4Address(3), IPv4Address(4), 2, 2)
+        with pytest.raises(EncapsulationError):
+            EncapTemplate(IPv4Address(3), IPv4Address(4), 2, 2).apply(packet)
+        assert packet.encap is first and packet.size == size
+        assert int(decapsulate(packet).vni) == 1
 
 
-_IP = IpHeader(IPv4Address(1), IPv4Address(2))
 _ETH = EthernetHeader(None, None)
-_VXLAN_UDP = UdpHeader(0xC000, VXLAN_PORT)
 
 
 class TestHeaderStackChecks:
     @pytest.mark.parametrize("headers, message", [
-        ([], "decapsulate: outer header is not IP"),
-        ([_ETH, _VXLAN_UDP, VxlanGpoHeader(1, 1)],
-         "decapsulate: outer header is not IP"),
-        ([_IP], "decapsulate: not a VXLAN packet"),
-        ([_IP, _IP, VxlanGpoHeader(1, 1)], "decapsulate: not a VXLAN packet"),
-        ([_IP, UdpHeader(1, 2), VxlanGpoHeader(1, 1)],
+        ((None, None), "decapsulate: not a VXLAN packet"),
+        ((_ETH, None), "decapsulate: not a VXLAN packet"),
+        ((IpHeader(IPv4Address(1), IPv4Address(2)), None),
          "decapsulate: not a VXLAN packet"),
-        ([_IP, _VXLAN_UDP], "decapsulate: missing VXLAN-GPO header"),
-        ([_IP, _VXLAN_UDP, _IP], "decapsulate: missing VXLAN-GPO header"),
+        ((IpHeader(IPv4Address(1), IPv4Address(2)), UdpHeader(1, VXLAN_PORT)),
+         "decapsulate: not a VXLAN packet"),
     ])
     def test_decapsulate_names_what_is_wrong_and_touches_nothing(
             self, headers, message):
-        packet = Packet(headers=headers, size=700)
+        inner, l4 = headers
+        packet = Packet(inner, l4, size=700)
         with pytest.raises(EncapsulationError) as raised:
             decapsulate(packet)
         assert str(raised.value) == message
-        assert packet.headers == headers and packet.size == 700
+        assert (packet.inner, packet.l4, packet.encap, packet.size) == (
+            inner, l4, None, 700)
 
     def test_encapsulate_puts_three_headers_in_front(self):
         packet = make_udp_packet(IPv4Address(5), IPv4Address(6), 10, 20)
-        inner = list(packet.headers)
+        inner, l4 = packet.inner, packet.l4
         encapsulate(packet, IPv4Address(1), IPv4Address(2), 7, 9)
-        outer_ip, udp, vxlan = packet.headers[:3]
+        outer_ip, udp, vxlan = packet.encap
         assert (outer_ip.src, outer_ip.dst) == (IPv4Address(1), IPv4Address(2))
         assert udp.dst_port == VXLAN_PORT
         assert (int(vxlan.vni), int(vxlan.group)) == (7, 9)
-        assert packet.headers[3:] == inner
-        assert packet.inner_ip() is inner[0]
+        assert packet.inner is inner and packet.l4 is l4
 
     def test_inner_ip_of_stacks_without_ip(self):
-        assert Packet().inner_ip() is None
-        assert Packet(headers=[_ETH, _VXLAN_UDP]).inner_ip() is None
+        assert Packet().inner is None
+        frame = Packet(_ETH)
+        assert not isinstance(frame.inner, IpHeader)
+        # An L2 frame carries no flow entropy: the fixed source port.
+        encapsulate(frame, IPv4Address(1), IPv4Address(2), 7, 9)
+        assert frame.encap[1].src_port == 0xC000 and frame.inner is _ETH
 
     def test_is_vxlan(self):
+        # A device tells overlay data from control by the encap slot.
         data = make_udp_packet(IPv4Address(5), IPv4Address(6), 10, 20)
-        assert not is_vxlan(data)                 # overlay UDP, other port
+        assert data.encap is None                 # overlay UDP, other port
         encapsulate(data, IPv4Address(1), IPv4Address(2), 7, 9)
-        assert is_vxlan(data)
-        assert not is_vxlan(Packet())
-        assert not is_vxlan(Packet(headers=[_IP]))
-        # UDP somewhere other than right under the outer IP header.
-        assert is_vxlan(Packet(headers=[_ETH, _IP, _VXLAN_UDP]))
-        assert not is_vxlan(Packet(headers=[_ETH, _IP, UdpHeader(1, 2)]))
+        assert data.encap is not None
+        decapsulate(data)
+        assert data.encap is None
+        control = control_packet(IPv4Address(1), IPv4Address(2),
+                                 MapRequest(VNId(1), IPv4Address(5),
+                                            IPv4Address(1)))
+        assert control.encap is None and control.l4.dst_port != VXLAN_PORT
