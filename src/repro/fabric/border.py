@@ -405,7 +405,7 @@ class BorderRouter:
 
     # -- external routes -----------------------------------------------------------
     def add_external_route(self, vn, prefix, label="internet"):
-        self._mf_flush()
+        self._mf_invalidate(prefix)
         trie = self._external.get(vn)
         if trie is None:
             trie = PatriciaTrie(prefix.family)
@@ -666,8 +666,8 @@ class BorderRouter:
             self.transit_cache.install(reply.vn, record.eid, record.rloc,
                                        version=record.version, ttl=record.ttl)
         # Site-granular either way: the longest match under it moved.
-        self._mf_flush()
         covering = reply.eid if reply.is_negative else reply.record.eid
+        self._mf_invalidate(covering)
         resolved = [
             key for key in self._transit_pending
             if key[0] == int(reply.vn)

@@ -501,7 +501,7 @@ class EdgeRouter:
         self._program_acl(rules)
         for eid in station.eids():
             self.map_cache.invalidate(vn, eid)
-            self._mf_invalidate(eid)
+        self._mf_invalidate_endpoint(station)
         station.edge = self
         self.counters.wireless_installs += 1
         return entry
@@ -541,10 +541,9 @@ class EdgeRouter:
 
     def _mf_invalidate_endpoint(self, endpoint):
         """``endpoint`` entered or left the VRF: forget its addresses."""
-        mf = self.megaflow
-        if mf is not None:
-            for eid in endpoint.eids():
-                mf.invalidate(eid)
+        if self.megaflow is not None:
+            self.megaflow.invalidate_hosts(
+                (endpoint.ip, endpoint.ipv6, endpoint.mac))
 
     def _program_acl(self, rules):
         """Download rule rows; only a changed verdict costs the cache."""
@@ -860,7 +859,7 @@ class EdgeRouter:
             del self._pending_resolution[key]
         if reply.is_negative:
             self.map_cache.install_negative(reply.vn, reply.eid, ttl=reply.negative_ttl)
-            self._mf_flush()
+            self._mf_invalidate(reply.eid)
         else:
             record = reply.record
             # Cache lifetime: the server's advisory TTL capped by this

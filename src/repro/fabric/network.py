@@ -63,10 +63,11 @@ _FABRIC_DEFAULTS = dict(
     register_flush_s=2e-3,
     session_cache=False,
     session_cache_ttl_s=600.0,
-    #: data-plane fast path knob (also default off): every edge and
-    #: border memoizes complete forwarding decisions in an OVS-style
-    #: megaflow cache (see :mod:`repro.net.fastpath`).
-    megaflow=False,
+    #: data-plane fast path (default on; ``megaflow=False`` is the
+    #: per-packet slow path the property oracles compare against):
+    #: every edge and border memoizes complete forwarding decisions in
+    #: an OVS-style megaflow cache (see :mod:`repro.net.fastpath`).
+    megaflow=True,
     #: chaos-suite recovery knobs (all off by default — the
     #: fire-and-forget baseline stays bit-identical):
     #: ``register_retry`` (a :class:`repro.core.RetryPolicy`) turns

@@ -25,10 +25,12 @@ would.  An entry records the destination address it was decided for
 control-plane event touched, the way the OVS revalidator only revisits
 the flows that depend on what changed.  A mobility update is selective
 (sec. 3.4, fig. 5/6): it names one EID, so it costs that EID's entries
-and nothing else.  :meth:`MegaflowCache.invalidate` is the scoped verb —
-a host EID drops that destination's entries; a shorter prefix can change
-the longest-prefix match of any address under it, so it falls back to
-:meth:`MegaflowCache.flush`.
+and nothing else.  :meth:`MegaflowCache.invalidate` is the scoped verb:
+a prefix drops the entries of the destinations it covers, in every VN —
+one address for a host EID, a site's worth for an aggregate.  That is
+enough because every decision depends only on the longest match of its
+own ``dst``, and a prefix moves the longest match of no address outside
+it.
 
 ====================================  ==============  ==========================================
 event                                 invalidates     why that is sufficient
@@ -37,9 +39,14 @@ endpoint/station installed, removed   its EIDs        the VRF holds host routes 
 or evicted locally (onboarding,                       decisions *for* those addresses read the
 detach, wireless install/remove,                      entry; every add and remove invalidates,
 the VRF eviction a Map-Notify does)                   so a cached ``local`` is always current
-Map-Notify record, SMR, host          that EID        a host mapping is the longest match of
-Map-Reply (edge); ``PublishUpdate``                   exactly one address; stale-version
-of a host EID (border)                                installs change nothing
+Map-Notify record, SMR, Map-Reply     that prefix's   an install moves the longest match of
+(edge, positive or negative, host     destinations    exactly the addresses under its prefix;
+or aggregate); ``PublishUpdate``                      the map-server answers a miss with the
+(border, host or aggregate);                          requested host EID, so a negative reply
+transit Map-Reply (border)                            costs one destination; stale-version
+                                                      installs change nothing
+external-route edit (border)          that prefix's   consulted only for a destination under
+                                      destinations    the route's prefix
 away register / unregister /          that EID        the away table is exact-match per
 TTL release / adoption (border)                       (VN, host EID)
 map-cache or transit-cache entry      nothing         the entry inherited ``expires_at``; the
@@ -60,19 +67,15 @@ group change on re-auth               **everything**  rewrites the VRF entry in 
                                                       every verdict taken towards it, along
                                                       with another group's rule rows: an
                                                       operator action, not a mobility event
-negative or aggregate Map-Reply,      **everything**  a shorter prefix moves the longest match
-aggregate publish, any transit-cache                  of every address it covers
-install (border)
 RLOC lost in the IGP, unreachable     **everything**  names an RLOC, not an EID: every entry
 fallback, border failover                             resolved to it, or defaulting through it
-external-route edit (border)          **everything**  external routes are prefixes
 reboot, border crash                  **everything**  all forwarding state is gone
 capacity overflow                     **everything**  cheap, self-corrects key churn
 ====================================  ==============  ==========================================
 
 The rows above the rule are scoped; ``flush`` survives only below it,
-for events that name no single EID.  Entries installed without a
-``dst`` are outside the index: only their TTL or a flush removes them.
+for events that name no prefix.  Entries installed without a ``dst``
+are outside the index: only their TTL or a flush removes them.
 """
 
 from __future__ import annotations
@@ -178,21 +181,48 @@ class MegaflowCache:
                 del self._by_dst[entry.dst]
 
     def invalidate(self, eid):
-        """Forget the decisions taken for ``eid`` (a :class:`Prefix`).
+        """Forget the decisions taken for the addresses ``eid`` covers.
 
-        A host EID drops only its own destination's entries.  Anything
-        shorter flushes: it can change the longest-prefix match of
-        every address under it.
+        ``eid`` is a :class:`Prefix`.  A host EID drops its own
+        destination's entries; a shorter prefix drops every indexed
+        destination under it, in every VN.  Nothing else can move: a
+        decision depends only on the longest match of its own ``dst``,
+        and a prefix changes the longest match of no address outside it.
         """
-        if not eid.is_host:
-            self.flush()
-            return
         self.invalidations += 1
-        for key in self._by_dst.pop(eid.address, ()):
-            del self._entries[key]
+        by_dst = self._by_dst
+        if not by_dst:
+            return
+        address = eid.address
+        entries = self._entries
+        if eid.length == address.bits:
+            for key in by_dst.pop(address, ()):
+                del entries[key]
+            return
+        family = address.family
+        shift = address.bits - eid.length
+        base = address.value >> shift
+        covered = [dst for dst in by_dst
+                   if dst.family == family and dst.value >> shift == base]
+        for dst in covered:
+            for key in by_dst.pop(dst):
+                del entries[key]
+
+    def invalidate_hosts(self, addresses):
+        """:meth:`invalidate` for the host EID of each address in
+        ``addresses`` (``None`` skipped), without building one."""
+        by_dst = self._by_dst
+        entries = self._entries
+        for address in addresses:
+            # ``is not None``, not ``==``: an address compares in Python
+            if address is not None:
+                self.invalidations += 1
+                if by_dst:
+                    for key in by_dst.pop(address, ()):
+                        del entries[key]
 
     def flush(self):
-        """Invalidate everything (the event named no single EID)."""
+        """Invalidate everything (the event named no prefix)."""
         if self._entries:
             self._entries.clear()
             self._by_dst.clear()
@@ -201,7 +231,7 @@ class MegaflowCache:
     def stats_dict(self):
         """Hit/miss/invalidation stats for the metric registry.
 
-        ``invalidations`` counts scoped events (one EID's entries
+        ``invalidations`` counts scoped events (one prefix's entries
         dropped, the rest kept); ``flushes`` counts the events after
         which every decision is recomputed once.
         """

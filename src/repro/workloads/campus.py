@@ -121,9 +121,11 @@ class CampusWorkload:
         )
         self.roams_per_user_day = roams_per_user_day
         self.sample_interval_s = sample_interval_h * self.hour_s
-        #: data-plane fast path knobs (default off; the FIB dynamics the
-        #: fig. 9 study measures are identical either way — the property
-        #: test holds the workload to that)
+        #: data-plane fast path knobs (off here, unlike
+        #: ``FabricConfig``'s megaflow default, until the profiles embed
+        #: the config tree; the FIB dynamics the fig. 9 study measures
+        #: are identical either way — the property test holds the
+        #: workload to that)
         self.megaflow = megaflow
         self.packet_trains = packet_trains
         self.packets_per_flow = packets_per_flow

@@ -56,7 +56,8 @@ class WirelessCampusProfile:
         self.session_cache = session_cache
         self.session_cache_ttl_s = session_cache_ttl_s
         #: data-plane fast path knobs (the dataplane bench toggles
-        #: these): megaflow caches on edges/borders/APs, and each flow
+        #: these; megaflow stays off here, unlike ``FabricConfig``'s
+        #: default): megaflow caches on edges/borders/APs, and each flow
         #: injected as one ``packets_per_flow``-packet train instead of
         #: ``packets_per_flow`` separate packet events
         self.megaflow = megaflow

@@ -20,20 +20,37 @@ Two strengths of the claim:
   delivered multisets (train-expanded) plus every data-plane and
   enforcement counter.  Control-plane message counts (SMRs,
   Map-Requests) are legitimately coalesced by trains and excluded.
+
+The ops also depart and re-admit endpoints, send to an in-VN address
+nobody holds, crash and restart one of the two routing servers and let
+sim time pass, so negative Map-Replies reach the edges.  One pinned
+example walks the one race in which a negative reply meets a cached
+decision for its own address: a Map-Request lost with a crashed server,
+a Map-Notify installing the mapping meanwhile, the endpoint departing,
+and the retry answered negative by the surviving server.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fabric.network import FabricConfig, FabricNetwork
+from repro.net.addresses import IPv4Address
 
 VN = 900
 NUM_EDGES = 3
 NUM_ENDPOINTS = 6
 GROUPS = ("users", "servers", "iot")
 
+NUM_SERVERS = 2
+#: in the VN's prefix, above every DHCP lease the fabric hands out
+UNHELD = [IPv4Address.parse("10.0.250.%d" % host) for host in (1, 2)]
+
 # op encodings: ("send", src, dst, count) | ("roam", ep, edge)
 #             | ("policy", src_group, dst_group, allow)
+#             | ("depart", ep, edge): depart if attached, else re-admit
+#             | ("unheld", src, index): send to an address nobody holds
+#             | ("server", index): crash the server, or restart it
+#             | ("wait", seconds)
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("send"),
@@ -47,15 +64,33 @@ ops_strategy = st.lists(
                   st.sampled_from(GROUPS),
                   st.sampled_from(GROUPS),
                   st.booleans()),
+        st.tuples(st.just("depart"),
+                  st.integers(0, NUM_ENDPOINTS - 1),
+                  st.integers(0, NUM_EDGES - 1)),
+        st.tuples(st.just("unheld"),
+                  st.integers(0, NUM_ENDPOINTS - 1),
+                  st.integers(0, len(UNHELD) - 1)),
+        st.tuples(st.just("server"), st.integers(0, NUM_SERVERS - 1)),
+        st.tuples(st.just("wait"), st.sampled_from((0.05, 1.5))),
     ),
     min_size=1, max_size=14,
 )
 
+#: ep-3 leaves edge-0 while server 0, edge-0's, is down, so ep-0's
+#: Map-Request for it is lost; server 1's Map-Notify to edge-0 (the
+#: previous edge) installs the mapping a second send caches.  ep-3 then
+#: departs, and the retry, which goes to server 1, comes back negative:
+#: the last send must not hit the decision cached for ep-3.
+NEGATIVE_REPLY_RACE = [
+    ("server", 0), ("roam", 3, 1), ("send", 0, 3, 1), ("wait", 0.05),
+    ("send", 0, 3, 1), ("depart", 3, 0), ("wait", 1.5), ("send", 0, 3, 1),
+]
+
 
 def _build(megaflow, enforcement="egress"):
     net = FabricNetwork(FabricConfig(
-        num_edges=NUM_EDGES, seed=11, enforcement=enforcement,
-        megaflow=megaflow,
+        num_edges=NUM_EDGES, num_routing_servers=NUM_SERVERS, seed=11,
+        enforcement=enforcement, megaflow=megaflow,
     ))
     net.define_vn("campus", VN, "10.0.0.0/16")
     net.define_group("users", 10, VN)
@@ -91,6 +126,24 @@ def _drive(net, endpoints, ops, as_train, settle_each):
             _, index, edge = op
             if endpoints[index].attached:
                 net.roam(endpoints[index], edge)
+        elif op[0] == "depart":
+            _, index, edge = op
+            if endpoints[index].attached:
+                net.depart(endpoints[index])
+            else:
+                net.admit(endpoints[index], edge)
+        elif op[0] == "unheld":
+            _, src, index = op
+            if endpoints[src].attached:
+                net.send(endpoints[src], UNHELD[index], size=600,
+                         as_train=as_train)
+        elif op[0] == "server":
+            if net.routing_servers[op[1]].crashed:
+                net.restart_routing_server(op[1])
+            else:
+                net.crash_routing_server(op[1])
+        elif op[0] == "wait":
+            net.run_for(op[1])
         else:
             _, src_group, dst_group, allow = op
             if allow:
@@ -136,6 +189,7 @@ def _expand(deliveries):
 
 
 @given(ops_strategy, st.booleans())
+@example(NEGATIVE_REPLY_RACE, False)
 @settings(max_examples=20, deadline=None)
 def test_megaflow_is_bit_identical_to_oracle(ops, ingress):
     """Megaflow on/off, trains off: full equality under racy interleaving."""

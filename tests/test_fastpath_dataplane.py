@@ -9,7 +9,7 @@ ACL accounting, train injection, invalidation hooks — in isolation.
 from repro.experiments.drops import VPN_PROFILE, run_device
 from repro.fabric.network import FabricConfig, FabricNetwork
 from repro.multisite import MultiSiteConfig, MultiSiteNetwork
-from repro.net.addresses import IPv4Address, Prefix
+from repro.net.addresses import IPv4Address, IPv6Address, Prefix
 from repro.net.fastpath import (
     ACT_ENCAP,
     ACT_LOCAL,
@@ -90,17 +90,32 @@ class TestScopedInvalidation:
         cache.invalidate(self.A.to_prefix())
         assert (cache.invalidations, cache.flushes, len(cache)) == (2, 0, 1)
 
-    def test_aggregate_falls_back_to_flush(self):
+    def test_aggregate_drops_only_the_destinations_it_covers(self):
+        outside = IPv4Address.parse("10.0.0.9")
+        v6 = IPv6Address.parse("::a00:1")    # same low bits as A
         cache = MegaflowCache()
         cache.install((0, VN, 10, self.A), MegaflowEntry(ACT_ENCAP, dst=self.A))
-        cache.install((0, VN, 10, self.B), MegaflowEntry(ACT_ENCAP, dst=self.B))
+        cache.install((1, VN + 1, 20, self.B),
+                      MegaflowEntry(ACT_LOCAL, dst=self.B))
+        kept = [
+            cache.install((0, VN, 10, outside),
+                          MegaflowEntry(ACT_ENCAP, dst=outside)),
+            cache.install((0, VN, 10, v6), MegaflowEntry(ACT_ENCAP, dst=v6)),
+            cache.install("probe", MegaflowEntry(ACT_ENCAP)),
+        ]
         cache.invalidate(Prefix.parse("10.0.0.0/30"))
-        assert len(cache) == 0
-        assert (cache.invalidations, cache.flushes) == (0, 1)
-        # The index went with the entries: re-installing starts clean.
-        cache.install((0, VN, 10, self.A), MegaflowEntry(ACT_ENCAP, dst=self.A))
-        cache.invalidate(self.A.to_prefix())
-        assert len(cache) == 0
+        assert len(cache) == 3
+        assert cache.lookup((0, VN, 10, self.A), now=0.0) is None
+        assert cache.lookup((1, VN + 1, 20, self.B), now=0.0) is None
+        assert [cache.lookup(key, now=0.0) for key in (
+            (0, VN, 10, outside), (0, VN, 10, v6), "probe")] == kept
+        assert cache._by_dst == {outside: [(0, VN, 10, outside)],
+                                 v6: [(0, VN, 10, v6)]}
+        assert (cache.invalidations, cache.flushes) == (1, 0)
+        # The default route covers every destination of its family.
+        cache.invalidate(Prefix.parse("0.0.0.0/0"))
+        assert cache._by_dst == {v6: [(0, VN, 10, v6)]}
+        assert len(cache) == 2 and cache.flushes == 0
 
     def test_entry_without_dst_only_leaves_by_ttl_or_flush(self):
         cache = MegaflowCache()
@@ -389,8 +404,11 @@ class TestMegaflowWiring:
         assert station.packets_received == 2
         assert edge.counters.policy_drops == 1
 
-    def test_megaflow_off_by_default(self):
+    def test_megaflow_on_by_default(self):
         net, _a, _b = _small_fabric()
+        assert all(edge.megaflow is not None for edge in net.edges)
+        assert all(border.megaflow is not None for border in net.borders)
+        net, _a, _b = _small_fabric(megaflow=False)
         assert all(edge.megaflow is None for edge in net.edges)
         assert all(border.megaflow is None for border in net.borders)
 
